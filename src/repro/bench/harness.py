@@ -371,21 +371,20 @@ def run_stream(
             cov5.append(result.coverage(0.05))
         hits += result.cache_hits
         misses += result.cache_misses
-        # multi-GPU extras, duck-typed so single-device BatchResults pass through
-        balance = getattr(result, "load_balance", None)
+        balance = result.load_balance
         if balance is not None:
             imbalances.append(balance.imbalance)
             lb_reports.append(balance.to_dict())
-        comm = getattr(result, "comm", None)
+        comm = result.comm
         if comm is not None:
             peer_bytes += comm.peer_bytes
             allreduce_ns += comm.allreduce_ns
-        pf = getattr(result, "prefilter", None)
+        pf = result.prefilter
         if pf is not None:
             pf_batches += pf.batches_skipped
             pf_roots += pf.roots_skipped
             pf_queries += pf.queries_skipped
-        rep = getattr(result, "repartition", None)
+        rep = result.repartition
         if rep is not None:
             rep_evaluated += int(rep.evaluated)
             rep_triggered += int(rep.triggered)
@@ -415,10 +414,10 @@ def run_stream(
         coverage_top5=float(np.mean(cov5)) if cov5 else None,
         cache_hit_rate=hits / (hits + misses) if (hits + misses) else None,
         cache_bytes=cache_bytes // n,
-        estimator=getattr(system, "estimator_name", None),
-        conflict_mode=getattr(system, "conflict_mode", None),
-        num_devices=getattr(system, "num_devices", 1),
-        partitioner=getattr(getattr(system, "partitioner", None), "name", None),
+        estimator=system.estimator_name,
+        conflict_mode=system.conflict_mode,
+        num_devices=system.num_devices,
+        partitioner=system.partitioner.name if system.partitioner is not None else None,
         partitioner_opts=resolve_partitioner_opts(system),
         peer_bytes=peer_bytes,
         allreduce_ns=allreduce_ns,
@@ -434,14 +433,10 @@ def run_stream(
                 "repartition_ns": rep_ns,
                 "last": rep_last,
             }
-            if (cfg := getattr(system, "repartition_config", None)) is not None
+            if (cfg := system.repartition_config) is not None
             else None
         ),
-        prefilter=(
-            name
-            if (name := getattr(system, "prefilter_name", "off")) != "off"
-            else None
-        ),
+        prefilter=system.prefilter_name if system.prefilter_name != "off" else None,
         batches_skipped=pf_batches,
         roots_skipped=pf_roots,
         queries_skipped=pf_queries,

@@ -17,28 +17,25 @@ same dynamic-graph maintenance — they differ only in the data path:
 * **CPU**   — the same nested loops run by 32 host threads (the paper's own
   CPU baseline, same stack-based implementation and matching order).
 
-Every system implements ``process_batch(batch) -> BatchResult`` so the
-harness can drive them interchangeably.
+Every system runs the one batch lifecycle of
+:class:`~repro.core.engine.BatchRunner` and supplies only its stage hooks, so
+the harness drives them interchangeably through ``process_batch``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import BatchResult, GCSMEngine, reorganize_step, update_step
+from repro.core.engine import BatchJob, BatchRunner, GCSMEngine, MatchOutcome
 from repro.core.frequency import DEFAULT_ESTIMATOR
-from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
-from repro.core.prefilter import (
-    DEFAULT_PREFILTER,
-    InvariantIndex,
-    normalize_prefilter,
-)
+from repro.core.matching import DEFAULT_EXECUTOR, match_batch
+from repro.core.prefilter import DEFAULT_PREFILTER
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import DEFAULT_CONFLICT_MODE, UpdateBatch
-from repro.gpu.clock import TimeBreakdown, simulated_time_ns
+from repro.gpu.clock import simulated_time_ns
 from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig, default_device
+from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig
 from repro.gpu.transfer import DmaEngine
 from repro.gpu.views import (
     FullDeviceView,
@@ -49,7 +46,6 @@ from repro.gpu.views import (
 )
 from repro.query.pattern import QueryGraph
 from repro.query.plan import compile_delta_plans
-from repro.utils import require
 
 __all__ = [
     "SimpleViewSystem",
@@ -64,154 +60,50 @@ __all__ = [
 ]
 
 
-class SimpleViewSystem:
-    """Shared pipeline for the single-view baselines (UM / ZC / CPU).
-
-    Steps: update → match through the system's view → reorganize.  No
-    frequency estimation and no data packing.
-    """
+class SimpleViewSystem(BatchRunner):
+    """The single-view baselines (UM / ZC / CPU): update → match through
+    ``view_class`` → reorganize.  No frequency estimation, no packing.
+    Keyword arguments are :class:`~repro.core.engine.BatchRunner`'s."""
 
     name = "abstract"
-    platform = "gpu"
+    view_class: type[GraphView]
 
-    def __init__(
-        self,
-        initial_graph: StaticGraph,
-        query: QueryGraph,
-        *,
-        device: DeviceConfig | None = None,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
-        conflict_mode: str = DEFAULT_CONFLICT_MODE,
-        prefilter: str = DEFAULT_PREFILTER,
-    ) -> None:
-        self.device = device or default_device()
-        self.graph = DynamicGraph(initial_graph)
+    def __init__(self, initial_graph: StaticGraph, query: QueryGraph, **kwargs) -> None:
+        super().__init__(initial_graph, **kwargs)
         self.query = query
         self.plans = compile_delta_plans(query)
-        self.executor = executor
-        self.conflict_mode = conflict_mode
-        # these systems never estimate; the configured choice is still
-        # recorded so harness/results JSON stays uniform across systems
-        self.estimator_name = estimator
-        self.prefilter_name = normalize_prefilter(prefilter)
-        self.prefilter_index = (
-            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
-        )
-        self.batches_processed = 0
-        self.total_delta = 0
 
-    def _make_view(self, counters: AccessCounters) -> GraphView:
-        raise NotImplementedError
-
-    def _prefilter_batch(self, batch: UpdateBatch, breakdown: TimeBreakdown):
-        """Maintain the invariant index and certify skips (None when off)."""
-        if self.prefilter_index is None:
-            return None
-        counters = self.prefilter_index.apply_batch(batch)
-        decision = self.prefilter_index.evaluate(self.plans, batch)
-        counters.merge(decision.counters)
-        breakdown.prefilter_ns = simulated_time_ns(
-            counters, self.device, platform="cpu"
-        )
-        return decision
-
-    def _close_prefilter(self) -> None:
-        if self.prefilter_index is not None:
-            self.prefilter_index.close_batch()
-
-    def _skipped_result(self, breakdown, decision, conflicts) -> BatchResult:
-        self.batches_processed += 1
-        return BatchResult(
-            delta_count=0,
-            match_stats=MatchStats(roots_skipped=decision.roots_total),
-            breakdown=breakdown,
-            match_counters=AccessCounters(),
-            estimation=None,
-            cached_vertices=np.empty(0, dtype=np.int64),
-            cache_bytes=0,
-            cache_hits=0,
-            cache_misses=0,
-            conflicts=conflicts,
-            prefilter=decision.to_stats(breakdown.prefilter_ns),
-        )
-
-    def process_batch(self, batch: UpdateBatch) -> BatchResult:
-        require(len(batch) > 0, "empty batch")
-        graph = self.graph
-        breakdown = TimeBreakdown()
-
-        batch, breakdown.update_ns = update_step(
-            graph, batch, self.device, self.conflict_mode
-        )
-
-        decision = self._prefilter_batch(batch, breakdown)
-        if decision is not None and decision.skip_batch:
-            breakdown.reorg_ns = reorganize_step(graph, self.device)
-            self._close_prefilter()
-            return self._skipped_result(
-                breakdown, decision, graph.last_canonical_report
-            )
-
-        match_counters = AccessCounters()
-        view = self._make_view(match_counters)
+    def _stage_match(self, job: BatchJob, graph: DynamicGraph) -> MatchOutcome:
+        counters = AccessCounters()
+        view = self.view_class(graph, self.device, counters)
         stats = match_batch(
-            self.plans, batch, view, prefilter=decision, executor=self.executor
+            self.plans, job.batch, view, prefilter=job.decision, executor=self.executor
         )
-        breakdown.match_ns = simulated_time_ns(
-            match_counters, self.device, platform=view.platform
+        return MatchOutcome(
+            stats, counters, simulated_time_ns(counters, self.device, platform=view.platform),
+            dict(cache_misses=stats.roots_processed),
         )
-
-        breakdown.reorg_ns = reorganize_step(graph, self.device)
-        self._close_prefilter()
-
-        self.batches_processed += 1
-        self.total_delta += stats.signed_count
-        return BatchResult(
-            delta_count=stats.signed_count,
-            match_stats=stats,
-            breakdown=breakdown,
-            match_counters=match_counters,
-            estimation=None,
-            cached_vertices=np.empty(0, dtype=np.int64),
-            cache_bytes=0,
-            cache_hits=0,
-            cache_misses=stats.roots_processed,
-            conflicts=graph.last_canonical_report,
-            prefilter=decision.to_stats(breakdown.prefilter_ns)
-            if decision is not None
-            else None,
-        )
-
-    def snapshot(self) -> StaticGraph:
-        return self.graph.snapshot()
 
 
 class ZeroCopySystem(SimpleViewSystem):
     """ZC: every neighbor-list read crosses PCIe in 128 B lines."""
 
     name = "ZC"
-
-    def _make_view(self, counters: AccessCounters) -> GraphView:
-        return ZeroCopyView(self.graph, self.device, counters)
+    view_class = ZeroCopyView
 
 
 class UnifiedMemorySystem(SimpleViewSystem):
     """UM: managed memory, page-fault-driven migration (cold per batch)."""
 
     name = "UM"
-
-    def _make_view(self, counters: AccessCounters) -> GraphView:
-        return UnifiedMemoryView(self.graph, self.device, counters)
+    view_class = UnifiedMemoryView
 
 
 class CpuLoopSystem(SimpleViewSystem):
     """The paper's CPU baseline: same loops, 32 host threads, host DRAM."""
 
     name = "CPU"
-
-    def _make_view(self, counters: AccessCounters) -> GraphView:
-        return HostCPUView(self.graph, self.device, counters)
+    view_class = HostCPUView
 
 
 #: Naive's cache budget: the paper notes GCSM's sampled lists occupy < 2 GB
@@ -259,13 +151,16 @@ class VsgmCapacityError(RuntimeError):
     128 (SF3K) / 64 (SF10K) edges when running VSGM (Sec. VI-B)."""
 
 
-class VsgmSystem:
+class VsgmSystem(BatchRunner):
     """The VSGM-style baseline: bulk-copy the batch's k-hop neighborhood.
 
     Per batch: BFS from every update endpoint out to ``k = diameter(Q)``
     hops on the CPU, pack all visited vertices' lists, DMA them to the GPU,
     then match entirely from device memory.  The kernel never touches the
-    CPU — at the price of copying the (large) k-hop working set.
+    CPU — at the price of copying the (large) k-hop working set.  A
+    certified skip also saves VSGM's dominant cost: the gather and bulk copy
+    never happen.  Keyword arguments besides ``strict_capacity`` are
+    :class:`~repro.core.engine.BatchRunner`'s.
     """
 
     name = "VSGM"
@@ -275,28 +170,14 @@ class VsgmSystem:
         initial_graph: StaticGraph,
         query: QueryGraph,
         *,
-        device: DeviceConfig | None = None,
         strict_capacity: bool = True,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
-        conflict_mode: str = DEFAULT_CONFLICT_MODE,
-        prefilter: str = DEFAULT_PREFILTER,
+        **kwargs,
     ) -> None:
-        self.device = device or default_device()
-        self.graph = DynamicGraph(initial_graph)
+        super().__init__(initial_graph, **kwargs)
         self.query = query
         self.plans = compile_delta_plans(query)
         self.hops = query.diameter()
         self.strict_capacity = strict_capacity
-        self.executor = executor
-        self.estimator_name = estimator
-        self.conflict_mode = conflict_mode
-        self.prefilter_name = normalize_prefilter(prefilter)
-        self.prefilter_index = (
-            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
-        )
-        self.batches_processed = 0
-        self.total_delta = 0
 
     # -- k-hop gather ------------------------------------------------------
     def _khop_vertices(self, batch: UpdateBatch, counters: AccessCounters) -> set[int]:
@@ -317,75 +198,37 @@ class VsgmSystem:
                 break
         return visited
 
-    def process_batch(self, batch: UpdateBatch) -> BatchResult:
-        require(len(batch) > 0, "empty batch")
+    def _stage_pack(self, job: BatchJob) -> tuple[tuple[set[int], int], float]:
+        """Gather + copy: VSGM's "DC" phase of Fig. 13."""
         graph = self.graph
-        breakdown = TimeBreakdown()
-
-        batch, breakdown.update_ns = update_step(
-            graph, batch, self.device, self.conflict_mode
-        )
-
-        decision = SimpleViewSystem._prefilter_batch(self, batch, breakdown)
-        if decision is not None and decision.skip_batch:
-            # certified ΔM = 0 also saves VSGM's dominant cost: the k-hop
-            # gather + bulk copy never happen
-            breakdown.reorg_ns = reorganize_step(graph, self.device)
-            SimpleViewSystem._close_prefilter(self)
-            return SimpleViewSystem._skipped_result(
-                self, breakdown, decision, graph.last_canonical_report
-            )
-
-        # gather + copy (this is VSGM's "DC" phase of Fig. 13)
         gather_counters = AccessCounters()
-        resident = self._khop_vertices(batch, gather_counters)
+        resident = self._khop_vertices(job.batch, gather_counters)
         copy_bytes = sum(
             (graph.degree_old(v) + graph.delta_neighbors(v).size) * BYTES_PER_NEIGHBOR
             for v in resident
         ) + len(resident) * 3 * BYTES_PER_NEIGHBOR
         if self.strict_capacity and copy_bytes > self.device.cache_buffer_bytes:
-            graph.reorganize()  # leave the store consistent
-            SimpleViewSystem._close_prefilter(self)
             raise VsgmCapacityError(
                 f"k-hop working set ({copy_bytes} B) exceeds device buffer "
                 f"({self.device.cache_buffer_bytes} B); use a smaller batch"
             )
         gather_ns = simulated_time_ns(gather_counters, self.device, platform="cpu")
-        dma_counters = AccessCounters()
-        dma_ns = DmaEngine(self.device, dma_counters).transfer(copy_bytes)
-        breakdown.pack_ns = gather_ns + dma_ns
+        dma_ns = DmaEngine(self.device, AccessCounters()).transfer(copy_bytes)
+        return (resident, copy_bytes), gather_ns + dma_ns
 
-        match_counters = AccessCounters()
-        view = FullDeviceView(graph, self.device, match_counters, resident)
+    def _stage_match(self, job: BatchJob, graph: DynamicGraph) -> MatchOutcome:
+        resident, copy_bytes = job.placement
+        counters = AccessCounters()
+        view = FullDeviceView(graph, self.device, counters, resident)
         stats = match_batch(
-            self.plans, batch, view, prefilter=decision, executor=self.executor
+            self.plans, job.batch, view, prefilter=job.decision, executor=self.executor
         )
-        breakdown.match_ns = simulated_time_ns(match_counters, self.device, platform="gpu")
-
-        breakdown.reorg_ns = reorganize_step(graph, self.device)
-        SimpleViewSystem._close_prefilter(self)
-
-        self.batches_processed += 1
-        self.total_delta += stats.signed_count
         cached = np.fromiter(resident, dtype=np.int64, count=len(resident))
-        return BatchResult(
-            delta_count=stats.signed_count,
-            match_stats=stats,
-            breakdown=breakdown,
-            match_counters=match_counters,
-            estimation=None,
-            cached_vertices=np.sort(cached),
-            cache_bytes=copy_bytes,
-            cache_hits=stats.roots_processed,
-            cache_misses=view.fallthrough_accesses,
-            conflicts=graph.last_canonical_report,
-            prefilter=decision.to_stats(breakdown.prefilter_ns)
-            if decision is not None
-            else None,
+        return MatchOutcome(
+            stats, counters, simulated_time_ns(counters, self.device, platform="gpu"),
+            dict(cached_vertices=np.sort(cached), cache_bytes=copy_bytes,
+                 cache_hits=stats.roots_processed, cache_misses=view.fallthrough_accesses),
         )
-
-    def snapshot(self) -> StaticGraph:
-        return self.graph.snapshot()
 
 
 SYSTEM_NAMES = ("GCSM", "Pipelined", "ZC", "UM", "Naive", "VSGM", "CPU")

@@ -1,6 +1,6 @@
-"""The GCSM end-to-end engine: the five-step per-batch pipeline of Fig. 3.
+"""The GCSM end-to-end engine and the one batch lifecycle every system runs.
 
-For every update batch ``ΔE_k``:
+For every update batch ``ΔE_k`` the paper's pipeline (Fig. 3) runs:
 
 1. **Update** — ``ΔE_k`` is folded into the CPU adjacency store (insertions
    appended, deletions marked).
@@ -14,14 +14,21 @@ For every update batch ``ΔE_k``:
 5. **Reorganize** — updated CPU lists are re-sorted for the next batch;
    performed after matching so the kernel sees consistent data (Sec. V-A).
 
-Every step's work is counted and priced by the device cost model, giving
-the Table II / Fig. 13 phase breakdown per batch.
+:class:`BatchRunner` runs these steps, plus the aggregate-invariant
+prefilter and its certified-skip exit, in the order of
+:data:`repro.gpu.clock.PIPELINE_STAGES` for *every* system.  The paper's
+systems "all use the same GPU kernel" and differ only in where neighbor
+lists live, so a system supplies stage hooks — its estimator, its cache or
+placement step, its kernel view — and nothing else.  Every step's work is
+counted and priced by the device cost model, giving the Table II / Fig. 13
+phase breakdown per batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -42,15 +49,13 @@ from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
 from repro.core.prefilter import (
     DEFAULT_PREFILTER,
     InvariantIndex,
-    PrefilterDecision,
     PrefilterStats,
     normalize_prefilter,
 )
-from repro.graphs.attributes import EdgeAttributeStore
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import CanonicalReport, DEFAULT_CONFLICT_MODE, UpdateBatch
-from repro.gpu.clock import TimeBreakdown, simulated_time_ns
+from repro.gpu.clock import PipelineClock, TimeBreakdown, simulated_time_ns
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig, default_device
 from repro.gpu.transfer import DmaEngine
@@ -58,7 +63,15 @@ from repro.query.pattern import QueryGraph
 from repro.query.plan import compile_delta_plans
 from repro.utils import VERTEX_DTYPE, as_generator, require, spawn_generator
 
+if TYPE_CHECKING:
+    from repro.multigpu.comm import CommReport
+    from repro.multigpu.engine import LoadBalanceReport, ShardBatchReport
+    from repro.multigpu.repartition import RepartitionReport
+
 __all__ = [
+    "BatchRunner",
+    "BatchJob",
+    "MatchOutcome",
     "GCSMEngine",
     "BatchResult",
     "make_policy",
@@ -69,10 +82,8 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Shared batch-step internals.  GCSMEngine composes these; the sharded
-# engine (repro.multigpu.engine) reuses them per shard instead of forking
-# the pipeline — any change here changes both engines identically, which
-# is what keeps the N=1 equivalence invariant cheap to maintain.
+# Step pricing.  The runner prices update and reorganize through these for
+# every system, and the sharded engine packs each shard with pack_step.
 # ----------------------------------------------------------------------
 def make_policy(policy: str | CachePolicy) -> CachePolicy:
     """Resolve a policy name to a CachePolicy instance."""
@@ -92,6 +103,7 @@ def update_step(
     batch: UpdateBatch,
     device: DeviceConfig,
     mode: str = DEFAULT_CONFLICT_MODE,
+    extra_work: Callable[[UpdateBatch, AccessCounters], None] | None = None,
 ) -> tuple[UpdateBatch, float]:
     """Step 1: canonicalize ``ΔE`` under ``mode`` and fold it into the CPU
     store; returns ``(effective_batch, simulated_ns)``.
@@ -101,13 +113,18 @@ def update_step(
     difference between the pre- and post-batch edge sets, which is what
     makes ΔM equal the true state difference on conflicted streams.  The
     raw batch is still what the CPU scans (and classifies), so the charged
-    work covers the full input.
+    work covers the full input.  ``extra_work(effective, counters)`` charges
+    a system's own per-batch host maintenance to the same step; it is priced
+    together with the update because the cost model takes a max over
+    resources, not a sum.
     """
     effective = graph.apply_batch(batch, mode=mode)
     counters = AccessCounters()
     avg_deg = max(2.0, 2.0 * graph.num_edges / max(1, graph.num_vertices))
     per_update_ops = int(2 * (1 + math.log2(avg_deg)))
     counters.record_compute(len(batch) * per_update_ops)
+    if extra_work is not None:
+        extra_work(effective, counters)
     return effective, simulated_time_ns(counters, device, platform="cpu")
 
 
@@ -136,6 +153,10 @@ def reorganize_step(graph: DynamicGraph, device: DeviceConfig) -> float:
     return simulated_time_ns(counters, device, platform="cpu")
 
 
+def _empty_vertices() -> np.ndarray:
+    return np.empty(0, dtype=VERTEX_DTYPE)
+
+
 @dataclass
 class BatchResult:
     """Everything one batch produced.
@@ -145,7 +166,7 @@ class BatchResult:
     kernel's traffic (its per-vertex histogram is the *exact* access
     frequency ``C_v`` of this batch — the ground truth for Fig. 15);
     ``estimation`` the estimator output; ``cached_vertices`` the set shipped
-    to the GPU.
+    to the GPU.  The fleet fields are filled only by the multi-GPU engine.
     """
 
     delta_count: int
@@ -153,17 +174,24 @@ class BatchResult:
     breakdown: TimeBreakdown
     match_counters: AccessCounters
     estimation: EstimationResult | None
-    cached_vertices: np.ndarray
-    cache_bytes: int
-    cache_hits: int
-    cache_misses: int
-    #: classification of the raw batch against the pre-batch store (None for
-    #: legacy constructors); ``conflicts.anomalies`` counts updates a clean
-    #: stream would never contain
+    cached_vertices: np.ndarray = field(default_factory=_empty_vertices)
+    cache_bytes: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    #: classification of the raw batch against the pre-batch store;
+    #: ``conflicts.anomalies`` counts updates a clean stream would never contain
     conflicts: CanonicalReport | None = None
     #: certified-skip accounting when the aggregate-invariant pre-filter is
     #: enabled (None with ``prefilter="off"``)
     prefilter: PrefilterStats | None = None
+    #: per-shard work of the batch (multi-GPU engine only)
+    shard_reports: list[ShardBatchReport] = field(default_factory=list)
+    #: straggler diagnosis of the fleet (multi-GPU engine only)
+    load_balance: LoadBalanceReport | None = None
+    #: cross-device traffic summary (multi-GPU engine only)
+    comm: CommReport | None = None
+    #: online-repartitioning outcome (sticky-ownership fleets only)
+    repartition: RepartitionReport | None = None
 
     @property
     def cpu_access_bytes(self) -> int:
@@ -184,7 +212,234 @@ class BatchResult:
         return len(top & cached) / len(top)
 
 
-class GCSMEngine:
+@dataclass
+class MatchOutcome:
+    """What a system's match stage hands back to the runner.
+
+    ``stats`` and ``counters`` are the kernel's (summed over queries for a
+    rulebook), ``match_ns`` its simulated time.  ``fields`` holds the result
+    fields the system reports beyond those, by result-field name: where the
+    kernel's lists were read from (cache residency, hits, misses) and any
+    fleet or rulebook sections.
+    """
+
+    stats: MatchStats
+    counters: AccessCounters
+    match_ns: float = 0.0
+    fields: dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass
+class BatchJob:
+    """One batch in flight: what each stage produced for the later ones."""
+
+    breakdown: TimeBreakdown = field(default_factory=TimeBreakdown)
+    #: the canonicalized *effective* batch every stage after update runs on
+    batch: UpdateBatch | None = None
+    conflicts: CanonicalReport | None = None
+    #: the prefilter's certified-skip decision (None with the prefilter off)
+    decision: Any = None
+    estimation: EstimationResult | None = None
+    #: what the pack stage hands the match stage (cache, placement, ...)
+    placement: Any = None
+    outcome: MatchOutcome | None = None
+
+    @property
+    def skipped(self) -> bool:
+        """The prefilter certified ΔM = 0 for the whole batch."""
+        return self.decision is not None and self.decision.skip_batch
+
+
+class BatchRunner:
+    """The batch lifecycle, in :data:`~repro.gpu.clock.PIPELINE_STAGES` order.
+
+    :meth:`process_batch` runs, for every system:
+
+    1. update — canonicalize and apply ``ΔE`` via :func:`update_step`
+       (plus the system's :meth:`_update_work`);
+    2. prefilter — maintain the invariant index and decide (:meth:`_decide`);
+    3. the certified-skip exit — estimate, pack and match never run;
+    4. estimate — :meth:`_stage_estimate`;
+    5. pack or placement — :meth:`_stage_pack`;
+    6. match — :meth:`_stage_match`;
+    7. reorganize, then the prefilter's ``close_batch``;
+    8. the :class:`~repro.gpu.clock.PipelineClock` annotation, when the
+       system models cross-batch overlap;
+    9. the batch and ΔM tallies.
+
+    If estimate or pack raises (VSGM's capacity check), the store is left
+    settled — reorganized, uncharged — and the prefilter closed.  Stages
+    talk only through the :class:`BatchJob`, so a subclass may re-sequence
+    them (:class:`~repro.service.pipeline.PipelinedEngine` overlaps match
+    with reorganize).  Subclasses set ``plans``, the ΔM plans the default
+    :meth:`_decide` evaluates.
+    """
+
+    #: cross-batch schedule model; None runs batches serially
+    clock: PipelineClock | None = None
+    #: placement of the batch over devices (the multi-GPU engine sets these)
+    num_devices: int = 1
+    partitioner = None
+    repartition_config = None
+
+    def __init__(
+        self,
+        initial_graph: StaticGraph,
+        *,
+        device: DeviceConfig | None = None,
+        executor: str = DEFAULT_EXECUTOR,
+        estimator: str = DEFAULT_ESTIMATOR,
+        conflict_mode: str = DEFAULT_CONFLICT_MODE,
+        prefilter: str = DEFAULT_PREFILTER,
+    ) -> None:
+        self.device = device or default_device()
+        self.graph = DynamicGraph(initial_graph)
+        self.executor = executor
+        # systems that never estimate still record the configured choice,
+        # so harness/results JSON stays uniform across systems
+        self.estimator_name = estimator
+        self.conflict_mode = conflict_mode
+        self.prefilter_name = normalize_prefilter(prefilter)
+        self.prefilter_index = (
+            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
+        )
+        self.batches_processed = 0
+        self.total_delta = 0
+
+    # -- the lifecycle -------------------------------------------------
+    def process_batch(self, batch: UpdateBatch):
+        """Run one batch through every stage."""
+        job = self._open_batch(batch)
+        self._match_and_reorganize(job)
+        return self._close_batch(job)
+
+    def process_stream(self, batches: list[UpdateBatch]) -> list:
+        """Convenience: process a whole stream, returning per-batch results."""
+        return [self.process_batch(b) for b in batches]
+
+    def _open_batch(self, batch: UpdateBatch) -> BatchJob:
+        """Stages 1-5: update, prefilter, then estimate and pack unless the
+        batch is certified ΔM = 0."""
+        require(len(batch) > 0, "empty batch")
+        job = BatchJob()
+        bd = job.breakdown
+        job.batch, bd.update_ns = update_step(
+            self.graph, batch, self.device, self.conflict_mode, self._update_work
+        )
+        job.conflicts = self.graph.last_canonical_report
+        job.decision, bd.prefilter_ns = self._stage_prefilter(job.batch)
+        if job.skipped:
+            job.outcome = self._skip_outcome(job)
+            return job
+        try:
+            job.estimation = self._stage_estimate(job)
+            if job.estimation is not None:
+                bd.estimate_ns = simulated_time_ns(
+                    job.estimation.counters, self.device, platform="cpu_estimator"
+                )
+            job.placement, bd.pack_ns = self._stage_pack(job)
+        except Exception:
+            self.graph.reorganize()
+            self._close_prefilter()
+            raise
+        return job
+
+    def _match_and_reorganize(self, job: BatchJob) -> None:
+        """Stages 6-7: match (unless skipped), then settle the store."""
+        if not job.skipped:
+            job.outcome = self._stage_match(job, self.graph)
+        job.breakdown.reorg_ns = self._stage_reorganize()
+
+    def _close_batch(self, job: BatchJob):
+        """Stages 8-9: build the result, annotate the schedule, tally."""
+        job.breakdown.match_ns = job.outcome.match_ns
+        result = self._result(job)
+        if self.clock is not None:
+            self.clock.annotate(job.breakdown)
+        self.batches_processed += 1
+        self.total_delta += job.outcome.stats.signed_count
+        return result
+
+    def _stage_prefilter(self, batch: UpdateBatch) -> tuple[Any, float]:
+        """Maintain the aggregate-invariant index and certify skips.
+
+        Runs on the host right after update, while the batch is open.  The
+        decision's root masks are fully materialized here, so a concurrent
+        match stage never needs the live index.  ``(None, 0.0)`` when off.
+        """
+        if self.prefilter_index is None:
+            return None, 0.0
+        counters = self.prefilter_index.apply_batch(batch)
+        decision = self._decide(batch, counters)
+        return decision, simulated_time_ns(counters, self.device, platform="cpu")
+
+    def _stage_reorganize(self) -> float:
+        ns = reorganize_step(self.graph, self.device)
+        self._close_prefilter()
+        return ns
+
+    def _close_prefilter(self) -> None:
+        if self.prefilter_index is not None:
+            # the batch is settled: OLD adjacency is gone, drop the overlay
+            self.prefilter_index.close_batch()
+
+    def _prefilter_stats(self, job: BatchJob) -> PrefilterStats | None:
+        if job.decision is None:
+            return None
+        return PrefilterStats(
+            enabled=True,
+            batches_skipped=int(job.skipped),
+            # the roots the kernel dropped (RapidFlow's candidate filters
+            # remove some certified-skippable roots before the prefilter)
+            roots_skipped=job.outcome.stats.roots_skipped,
+            maintenance_ns=job.breakdown.prefilter_ns,
+        )
+
+    # -- stage hooks ---------------------------------------------------
+    def _update_work(self, batch: UpdateBatch, counters: AccessCounters) -> None:
+        """Extra host work charged to the update step (none by default)."""
+
+    def _decide(self, batch: UpdateBatch, counters: AccessCounters):
+        """The prefilter decision for ``batch``; charges its work to ``counters``."""
+        decision = self.prefilter_index.evaluate(self.plans, batch)
+        counters.merge(decision.counters)
+        return decision
+
+    def _stage_estimate(self, job: BatchJob) -> EstimationResult | None:
+        """Access-frequency estimate for the pack stage (none by default)."""
+        return None
+
+    def _stage_pack(self, job: BatchJob) -> tuple[Any, float]:
+        """Ship data to the device; returns ``(placement, simulated_ns)``."""
+        return None, 0.0
+
+    def _stage_match(self, job: BatchJob, graph: DynamicGraph) -> MatchOutcome:
+        """Run the kernel over ``graph`` (the live store, or a frozen epoch)."""
+        raise NotImplementedError
+
+    def _skip_outcome(self, job: BatchJob) -> MatchOutcome:
+        """The outcome of a certified-skip batch: every root dropped."""
+        return MatchOutcome(MatchStats(roots_skipped=job.decision.roots_total), AccessCounters())
+
+    def _result(self, job: BatchJob) -> BatchResult:
+        out = job.outcome
+        return BatchResult(
+            delta_count=out.stats.signed_count,
+            match_stats=out.stats,
+            breakdown=job.breakdown,
+            match_counters=out.counters,
+            estimation=job.estimation,
+            conflicts=job.conflicts,
+            prefilter=self._prefilter_stats(job),
+            **out.fields,
+        )
+
+    def snapshot(self) -> StaticGraph:
+        """Current settled graph snapshot."""
+        return self.graph.snapshot()
+
+
+class GCSMEngine(BatchRunner):
     """Continuous subgraph matching with GPU caching (the paper's system).
 
     Parameters
@@ -227,21 +482,17 @@ class GCSMEngine:
         conflict_mode: str = DEFAULT_CONFLICT_MODE,
         prefilter: str = DEFAULT_PREFILTER,
     ) -> None:
-        self.device = device or default_device()
+        super().__init__(
+            initial_graph, device=device, executor=executor, estimator=estimator,
+            conflict_mode=conflict_mode, prefilter=prefilter,
+        )
         self.cache_budget_bytes = (
             cache_budget_bytes
             if cache_budget_bytes is not None
             else self.device.cache_buffer_bytes
         )
-        self.graph = DynamicGraph(initial_graph)
         self.query = query
         self.plans = compile_delta_plans(query)
-        #: explicit-weight overlay for predicate pushdown; None when the
-        #: query carries no predicates (the common, weightless case).  The
-        #: overlay only changes behavior once ``set_weight`` records an
-        #: override, so the pipelined engine's stage overlap stays safe on
-        #: plain streams (lookups reduce to the pure hash).
-        self.attributes = EdgeAttributeStore() if query.has_predicates() else None
         self.num_walks = num_walks
         self.adaptive_walks = adaptive_walks
         rng = as_generator(seed)
@@ -249,193 +500,42 @@ class GCSMEngine:
             estimator, self.graph, self.device,
             seed=spawn_generator(rng), survival=survival,
         )
-        self.estimator_name = estimator
         self.policy: CachePolicy = make_policy(policy)
-        self.executor = executor
-        self.conflict_mode = conflict_mode
-        self.prefilter_name = normalize_prefilter(prefilter)
-        self.prefilter_index = (
-            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
-        )
-        self.batches_processed = 0
-        self.total_delta = 0
 
-    # ------------------------------------------------------------------
-    # pipeline stages
-    #
-    # Each of the five steps is an explicit stage method whose resource
-    # class is declared in :data:`repro.gpu.clock.PIPELINE_STAGES` (CPU for
-    # update/estimate/pack/reorganize, GPU for match).  The stages only
-    # communicate through arguments and return values, never through
-    # hidden instance state, so :class:`repro.service.pipeline.PipelinedEngine`
-    # can legally re-sequence them — running the GPU match of batch *k*
-    # concurrently with the CPU stages of batch *k+1* — without changing
-    # any stage's inputs.
-    # ------------------------------------------------------------------
-    def _stage_update(self, batch: UpdateBatch) -> tuple[UpdateBatch, float]:
-        """CPU stage 1: canonicalize ΔE and fold it into the store."""
-        effective, ns = update_step(self.graph, batch, self.device, self.conflict_mode)
-        if self.attributes is not None:
-            # track override lifecycle against the effective batch (delete
-            # removal is deferred to close_batch so OLD reads stay correct)
-            self.attributes.apply_batch(effective)
-        return effective, ns
-
-    def _stage_prefilter(
-        self, batch: UpdateBatch
-    ) -> tuple[PrefilterDecision | None, float]:
-        """CPU stage 1b: maintain the aggregate-invariant index and certify
-        skips for this (effective) batch.
-
-        Runs on the host right after update, while the batch is open.  The
-        decision's per-plan root masks are fully materialized here, so the
-        (possibly concurrent) match stage never reads the live index — the
-        pipelined engine mutates it for batch *k+1* while batch *k* is
-        still matching.  Returns ``(None, 0.0)`` with ``prefilter="off"``.
-        """
-        if self.prefilter_index is None:
-            return None, 0.0
-        counters = self.prefilter_index.apply_batch(batch)
-        decision = self.prefilter_index.evaluate(self.plans, batch)
-        counters.merge(decision.counters)
-        return decision, simulated_time_ns(counters, self.device, platform="cpu")
-
-    def _stage_estimate(
-        self, batch: UpdateBatch
-    ) -> tuple[EstimationResult | None, float]:
-        """CPU stage 2: merged-random-walk frequency estimation (policy-gated)."""
+    def _stage_estimate(self, job: BatchJob) -> EstimationResult | None:
+        """Merged-random-walk frequency estimation (policy-gated).  Root-masked
+        updates shrink the walk budget and the packed cache."""
         if not self.policy.requires_estimation:
-            return None, 0.0
+            return None
+        batch = job.decision.estimate_batch if job.decision is not None else job.batch
         if self.adaptive_walks:
-            estimation = self.estimator.estimate_adaptive(
+            return self.estimator.estimate_adaptive(
                 self.plans, batch, initial_walks=self.num_walks
             )
-        else:
-            estimation = self.estimator.estimate(
-                self.plans, batch, num_walks=self.num_walks
-            )
-        ns = simulated_time_ns(
-            estimation.counters, self.device, platform="cpu_estimator"
-        )
-        return estimation, ns
+        return self.estimator.estimate(self.plans, batch, num_walks=self.num_walks)
 
-    def _stage_pack(
-        self, estimation: EstimationResult | None
-    ) -> tuple[np.ndarray, DcsrCache, float]:
-        """CPU stage 3: select + pack frequent lists, single DMA to device."""
-        frequencies = estimation.frequencies if estimation is not None else None
+    def _stage_pack(self, job: BatchJob) -> tuple[tuple[np.ndarray, DcsrCache], float]:
+        """Select + pack frequent lists, single DMA to the device."""
+        frequencies = job.estimation.frequencies if job.estimation is not None else None
         selected = self.policy.select(self.graph, frequencies, self.cache_budget_bytes)
         cache, ns = pack_step(self.graph, selected, self.device)
-        return selected, cache, ns
+        return (selected, cache), ns
 
-    def _stage_match(
-        self,
-        batch: UpdateBatch,
-        cache: DcsrCache,
-        graph: DynamicGraph | None = None,
-        prefilter: PrefilterDecision | None = None,
-    ) -> tuple[MatchStats, AccessCounters, CachedDeviceView, float]:
-        """GPU stage 4: the incremental WCOJ kernel.
-
-        ``graph`` overrides the store the device view dereferences for
-        zero-copy fallthrough — the pipelined engine passes a
-        :class:`~repro.graphs.dynamic_graph.FrozenDynamicGraph` epoch so the
-        kernel keeps reading batch *k*'s state while the host already
-        mutates the live store for batch *k+1*.  ``prefilter`` is the
-        host-precomputed certified root-skip decision for this batch (its
-        masks are immutable, so this stage stays safe to overlap).
-        """
-        match_counters = AccessCounters()
-        view = CachedDeviceView(
-            graph if graph is not None else self.graph,
-            self.device, match_counters, cache,
-        )
+    def _stage_match(self, job: BatchJob, graph: DynamicGraph) -> MatchOutcome:
+        """The incremental WCOJ kernel through the DCSR cache.  ``graph`` is
+        the store the view dereferences for zero-copy fallthrough; the
+        decision's precomputed masks keep this stage safe to overlap."""
+        selected, cache = job.placement
+        counters = AccessCounters()
+        view = CachedDeviceView(graph, self.device, counters, cache)
         stats = match_batch(
-            self.plans, batch, view, prefilter=prefilter, executor=self.executor,
-            attributes=self.attributes,
+            self.plans, job.batch, view, prefilter=job.decision, executor=self.executor
         )
-        ns = simulated_time_ns(match_counters, self.device, platform="gpu")
-        return stats, match_counters, view, ns
-
-    def _stage_reorganize(self) -> float:
-        """CPU stage 5: re-sort updated lists, close the batch."""
-        ns = reorganize_step(self.graph, self.device)
-        if self.prefilter_index is not None:
-            # the batch is settled: OLD adjacency is gone, drop the overlay
-            self.prefilter_index.close_batch()
-        if self.attributes is not None:
-            self.attributes.close_batch()
-        return ns
-
-    # ------------------------------------------------------------------
-    def process_batch(self, batch: UpdateBatch) -> BatchResult:
-        """Run the full five-step pipeline for one batch."""
-        require(len(batch) > 0, "empty batch")
-        breakdown = TimeBreakdown()
-
-        # -- step 1: dynamic graph update on the CPU ----------------------
-        # every later step runs on the canonicalized *effective* batch
-        batch, breakdown.update_ns = self._stage_update(batch)
-        conflicts = self.graph.last_canonical_report
-
-        # -- step 1b: invariant maintenance + certified skip decision -----
-        decision, breakdown.prefilter_ns = self._stage_prefilter(batch)
-        if decision is not None and decision.skip_batch:
-            # certified ΔM = 0: skip estimation, packing, and the kernel;
-            # the store still reorganizes (the update really happened)
-            breakdown.reorg_ns = self._stage_reorganize()
-            self.batches_processed += 1
-            return BatchResult(
-                delta_count=0,
-                match_stats=MatchStats(roots_skipped=decision.roots_total),
-                breakdown=breakdown,
-                match_counters=AccessCounters(),
-                estimation=None,
-                cached_vertices=np.empty(0, dtype=VERTEX_DTYPE),
-                cache_bytes=0,
-                cache_hits=0,
-                cache_misses=0,
-                conflicts=conflicts,
-                prefilter=decision.to_stats(breakdown.prefilter_ns),
-            )
-
-        # -- step 2: frequency estimation (CPU) ---------------------------
-        # root-masked updates shrink the walk budget and the packed cache
-        estimate_input = decision.estimate_batch if decision is not None else batch
-        estimation, breakdown.estimate_ns = self._stage_estimate(estimate_input)
-
-        # -- step 3: pack frequent lists + single DMA ----------------------
-        selected, cache, breakdown.pack_ns = self._stage_pack(estimation)
-
-        # -- step 4: incremental matching on the GPU -----------------------
-        stats, match_counters, view, breakdown.match_ns = self._stage_match(
-            batch, cache, prefilter=decision
+        return MatchOutcome(
+            stats, counters, simulated_time_ns(counters, self.device, platform="gpu"),
+            dict(cached_vertices=selected, cache_bytes=cache.total_bytes,
+                 cache_hits=view.hits, cache_misses=view.misses),
         )
-
-        # -- step 5: reorganize CPU lists ----------------------------------
-        breakdown.reorg_ns = self._stage_reorganize()
-
-        self.batches_processed += 1
-        self.total_delta += stats.signed_count
-        return BatchResult(
-            delta_count=stats.signed_count,
-            match_stats=stats,
-            breakdown=breakdown,
-            match_counters=match_counters,
-            estimation=estimation,
-            cached_vertices=selected,
-            cache_bytes=cache.total_bytes,
-            cache_hits=view.hits,
-            cache_misses=view.misses,
-            conflicts=conflicts,
-            prefilter=decision.to_stats(breakdown.prefilter_ns)
-            if decision is not None
-            else None,
-        )
-
-    def process_stream(self, batches: list[UpdateBatch]) -> list[BatchResult]:
-        """Convenience: process a whole stream, returning per-batch results."""
-        return [self.process_batch(b) for b in batches]
 
     def initial_match(self) -> tuple[int, float]:
         """Match the query on the current settled snapshot (paper Fig. 2a).
@@ -457,7 +557,3 @@ class GCSMEngine:
             compile_static_plan(self.query), view, executor=self.executor
         )
         return stats.signed_count, simulated_time_ns(counters, self.device, platform="gpu")
-
-    def snapshot(self) -> StaticGraph:
-        """Current settled graph snapshot."""
-        return self.graph.snapshot()

@@ -100,14 +100,10 @@ class FrontierKernel:
         labels: np.ndarray,
         filters: dict[int, np.ndarray] | None = None,
         pool: dict[tuple[int, bool], np.ndarray] | None = None,
-        attributes=None,
     ) -> None:
         self.view = view
         self.labels = labels
         self.filters = filters or {}
-        #: optional edge-weight provider for predicate pushdown; None falls
-        #: back to the deterministic hash weights
-        self.attributes = attributes
         # merged-array memo: one merged object per (vertex, version family).
         # ``pool`` may be shared across the plans of one batch — the graph is
         # frozen between apply_batch and reorganize, so merged contents are
@@ -256,10 +252,7 @@ class FrontierKernel:
             if alive.size == 0:
                 break
             anchors = rows[qrow[alive], c.position]
-            if self.attributes is not None:
-                w = self.attributes.pair_weights(anchors, cand_flat[alive])
-            else:
-                w = edge_weights(anchors, cand_flat[alive])
+            w = edge_weights(anchors, cand_flat[alive])
             lo, hi = c.predicate
             keep[alive[~((w >= lo) & (w <= hi))]] = False
         # injectivity: a candidate must differ from every bound vertex of
@@ -287,9 +280,8 @@ class FrontierExecutor(FrontierKernel):
         sink,
         filters: dict[int, np.ndarray] | None = None,
         pool: dict[tuple[int, bool], np.ndarray] | None = None,
-        attributes=None,
     ) -> None:
-        super().__init__(view, labels, filters, pool, attributes)
+        super().__init__(view, labels, filters, pool)
         self.plan = plan
         self.sink = sink
         self.stats = MatchStats()

@@ -125,7 +125,6 @@ class _PlanExecutor:
         labels: np.ndarray,
         sink: EmbeddingSink | None,
         filters: dict[int, np.ndarray] | None = None,
-        attributes=None,
     ) -> None:
         self.plan = plan
         self.view = view
@@ -134,9 +133,6 @@ class _PlanExecutor:
         #: optional per-query-vertex candidate sets (sorted arrays); used by
         #: the RapidFlow baseline's candidate-index pruning
         self.filters = filters or {}
-        #: optional edge-weight provider for predicate pushdown (an
-        #: ``EdgeAttributeStore``); None falls back to the hash default
-        self.attributes = attributes
         #: per-level predicated constraints, in plan constraint order
         self._preds = [
             tuple(c for c in lvl.constraints if c.predicate is not None)
@@ -205,11 +201,7 @@ class _PlanExecutor:
             if cand.size == 0:
                 break
             counters.record_compute(cand.size)
-            anchor = int(self._bound[c.position])
-            if self.attributes is not None:
-                w = self.attributes.pair_weights(anchor, cand)
-            else:
-                w = edge_weights(anchor, cand)
+            w = edge_weights(int(self._bound[c.position]), cand)
             lo, hi = c.predicate
             cand = cand[(w >= lo) & (w <= hi)]
         for i in range(bound_count):  # injectivity
@@ -301,7 +293,6 @@ def filter_root_predicate(
     plan: MatchPlan,
     roots: np.ndarray,
     signs: np.ndarray,
-    attributes=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop roots whose data-edge weight violates the plan's root predicate.
 
@@ -312,10 +303,7 @@ def filter_root_predicate(
     """
     if plan.root_predicate is None or roots.shape[0] == 0:
         return roots, signs
-    if attributes is not None:
-        w = attributes.pair_weights(roots[:, 0], roots[:, 1])
-    else:
-        w = edge_weights(roots[:, 0], roots[:, 1])
+    w = edge_weights(roots[:, 0], roots[:, 1])
     lo, hi = plan.root_predicate
     keep = (w >= lo) & (w <= hi)
     return roots[keep], signs[keep]
@@ -334,7 +322,6 @@ def _run_plan(
     signs: np.ndarray,
     executor: str,
     pool: dict | None = None,
-    attributes=None,
 ) -> MatchStats:
     """Execute one plan over its roots with the selected executor.
 
@@ -346,11 +333,9 @@ def _run_plan(
     if executor == "frontier":
         from repro.core.frontier import FrontierExecutor
 
-        return FrontierExecutor(
-            plan, view, labels, sink, filters, pool=pool, attributes=attributes
-        ).run(roots, signs)
+        return FrontierExecutor(plan, view, labels, sink, filters, pool=pool).run(roots, signs)
     if executor == "recursive":
-        ex = _PlanExecutor(plan, view, labels, sink, filters, attributes)
+        ex = _PlanExecutor(plan, view, labels, sink, filters)
         for (x_a, x_b), sign in zip(roots.tolist(), signs.tolist()):
             ex.run_root(int(x_a), int(x_b), int(sign))
         return ex.stats
@@ -367,7 +352,6 @@ def match_batch(
     root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
     prefilter=None,
     executor: str = DEFAULT_EXECUTOR,
-    attributes=None,
 ) -> MatchStats:
     """Run all ΔM_i plans against a signed batch (paper Fig. 2b-f).
 
@@ -389,11 +373,10 @@ def match_batch(
     exactness is certified (only provably-ΔM=0 roots are dropped).
     ``executor`` picks the batched frontier executor (default) or the
     recursive reference; both produce bit-identical stats and counters.
-    ``attributes`` optionally supplies an edge-weight provider
-    (:class:`~repro.graphs.attributes.EdgeAttributeStore`) for plans whose
-    query carries weight predicates; without one the deterministic hash
-    weights are used.  Root-predicate filtering runs after the prefilter
-    (whose precomputed masks are aligned with the raw root array).
+    Plans whose query carries weight predicates filter on the deterministic
+    hash weights (:func:`~repro.graphs.attributes.edge_weights`).
+    Root-predicate filtering runs after the prefilter (whose precomputed
+    masks are aligned with the raw root array).
     """
     labels = view.graph.labels
     total = MatchStats()
@@ -419,10 +402,9 @@ def match_batch(
             keep = prefilter.mask(plan_index, plan, roots)
             total.roots_skipped += int(roots.shape[0] - np.count_nonzero(keep))
             roots, signs = roots[keep], signs[keep]
-        roots, signs = filter_root_predicate(plan, roots, signs, attributes)
+        roots, signs = filter_root_predicate(plan, roots, signs)
         total.merge(
-            _run_plan(plan, view, labels, sink, filters, roots, signs, executor,
-                      pool, attributes)
+            _run_plan(plan, view, labels, sink, filters, roots, signs, executor, pool)
         )
     return total
 
@@ -433,7 +415,6 @@ def match_static(
     *,
     sink: EmbeddingSink | None = None,
     executor: str = DEFAULT_EXECUTOR,
-    attributes=None,
 ) -> MatchStats:
     """Match the query on the current snapshot (paper Fig. 2a).
 
@@ -445,6 +426,5 @@ def match_static(
     labels = view.graph.labels
     edge_array = view.graph.edges_new_array()
     roots, signs = static_roots(plan, edge_array, labels)
-    roots, signs = filter_root_predicate(plan, roots, signs, attributes)
-    return _run_plan(plan, view, labels, sink, None, roots, signs, executor,
-                     attributes=attributes)
+    roots, signs = filter_root_predicate(plan, roots, signs)
+    return _run_plan(plan, view, labels, sink, None, roots, signs, executor)

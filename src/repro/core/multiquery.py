@@ -44,13 +44,12 @@ bench quantifies it against per-pattern engines and across rulebook sizes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.cache import CachedDeviceView, FrequencyCachePolicy
-from repro.core.dcsr import DcsrCache
+from repro.core.engine import BatchJob, BatchRunner, GCSMEngine, MatchOutcome
 from repro.core.frequency import (
     DEFAULT_ESTIMATOR,
     EstimationResult,
@@ -59,26 +58,20 @@ from repro.core.frequency import (
 )
 from repro.core.frontier import FrontierKernel
 from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
-from repro.core.prefilter import (
-    DEFAULT_PREFILTER,
-    InvariantIndex,
-    PrefilterDecision,
-    PrefilterStats,
-    normalize_prefilter,
-)
+from repro.core.prefilter import DEFAULT_PREFILTER, PrefilterDecision, PrefilterStats
 from repro.core.querytrie import ExecutionTrie, SharedTrieExecutor, TrieStats
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import DEFAULT_CONFLICT_MODE, UpdateBatch
 from repro.gpu.clock import TimeBreakdown, simulated_time_ns
-from repro.gpu.counters import AccessCounters, Channel
-from repro.gpu.device import BYTES_PER_NEIGHBOR, DeviceConfig, default_device
+from repro.gpu.counters import AccessCounters
+from repro.gpu.device import DeviceConfig
 from repro.query.pattern import QueryGraph
 from repro.query.plan import compile_delta_plans
 from repro.query.symmetry import canonical_form, find_isomorphism
 from repro.utils import VERTEX_DTYPE, as_generator, require, spawn_generator
 
-__all__ = ["MultiQueryEngine", "MultiBatchResult", "split_walk_budget"]
+__all__ = ["MultiQueryEngine", "MultiBatchResult", "RulebookDecision", "split_walk_budget"]
 
 
 def split_walk_budget(total_walks: int, num_queries: int) -> list[int]:
@@ -116,10 +109,10 @@ class MultiBatchResult:
     breakdown: TimeBreakdown
     match_counters: AccessCounters
     estimation: EstimationResult | None
-    cached_vertices: np.ndarray
-    cache_bytes: int
-    cache_hits: int
-    cache_misses: int
+    cached_vertices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=VERTEX_DTYPE))
+    cache_bytes: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
     shared: bool = True
     match_counters_by_query: dict[str, AccessCounters] | None = None
     aliases: dict[str, str] = field(default_factory=dict)
@@ -132,6 +125,23 @@ class MultiBatchResult:
     @property
     def total_delta(self) -> int:
         return sum(self.delta_counts.values())
+
+
+@dataclass(frozen=True)
+class RulebookDecision:
+    """The prefilter's verdict for a whole rulebook.
+
+    ``by_rep`` maps each *representative* to its batch decision (per-plan
+    root masks, reduced estimate batch); ``skip_queries`` names every
+    rulebook entry — aliases included — certified ΔM = 0.  Aliases inherit
+    their representative's decision: skip feasibility and root counts are
+    isomorphism invariants, so the inheritance is exact.  The batch is
+    skipped only when every entry is certified.
+    """
+
+    by_rep: dict[str, PrefilterDecision]
+    skip_queries: frozenset[str]
+    skip_batch: bool
 
 
 def _copy_counters(counters: AccessCounters) -> AccessCounters:
@@ -150,7 +160,7 @@ def _copy_stats(stats: MatchStats) -> MatchStats:
     )
 
 
-class MultiQueryEngine:
+class MultiQueryEngine(BatchRunner):
     """Continuously match a set of patterns with shared per-batch work.
 
     Queries are lexsorted by name at construction, so trie layout,
@@ -178,13 +188,15 @@ class MultiQueryEngine:
         require(len(queries) >= 1, "need at least one query")
         names = [q.name for q in queries]
         require(len(set(names)) == len(names), "query names must be unique")
-        self.device = device or default_device()
+        super().__init__(
+            initial_graph, device=device, executor=executor, estimator=estimator,
+            conflict_mode=conflict_mode, prefilter=prefilter,
+        )
         self.cache_budget_bytes = (
             cache_budget_bytes
             if cache_budget_bytes is not None
             else self.device.cache_buffer_bytes
         )
-        self.graph = DynamicGraph(initial_graph)
         # deterministic rulebook order: lexsort by query name
         self.queries = sorted(queries, key=lambda q: q.name)
         self.plans = {q.name: compile_delta_plans(q) for q in self.queries}
@@ -194,17 +206,10 @@ class MultiQueryEngine:
             estimator, self.graph, self.device,
             seed=spawn_generator(rng), survival=survival,
         )
-        self.estimator_name = estimator
         self.policy = FrequencyCachePolicy()
-        self.executor = executor
-        self.conflict_mode = conflict_mode
         self.shared = shared
         self.attribute_counters = attribute_counters
-        self.prefilter_name = normalize_prefilter(prefilter)
-        self.prefilter_index = (
-            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
-        )
-        self.batches_processed = 0
+        self._sinks: dict = {}
 
         # -- symmetry dedupe: one representative per isomorphism class ------
         # (lexsorted order makes the representative the lexicographically
@@ -237,42 +242,32 @@ class MultiQueryEngine:
         )
 
     # ------------------------------------------------------------------
-    def _prefilter_batch(
-        self, batch: UpdateBatch
-    ) -> tuple[dict[str, PrefilterDecision] | None, frozenset[str], float]:
-        """Maintain the invariant index and certify per-query skips.
+    def process_batch(self, batch: UpdateBatch, *, sinks: dict | None = None) -> MultiBatchResult:
+        """One shared pipeline pass; every query matched incrementally.
 
-        Returns ``(decisions, skip_queries, prefilter_ns)``.  ``decisions``
-        maps each *representative* to its batch decision (per-plan root
-        masks, reduced estimate batch); ``skip_queries`` names every
-        rulebook entry — aliases included — certified ΔM = 0 for this
-        batch.  Aliases inherit their representative's decision: skip
-        feasibility and root counts are isomorphism invariants, so the
-        inheritance is exact.  ``(None, frozenset(), 0.0)`` when off.
+        ``sinks`` optionally maps query names to embedding sinks
+        ``(embedding, sign) -> None``; under shared execution an alias sink
+        receives the representative's embeddings remapped to the alias's
+        vertex numbering.
         """
-        if self.prefilter_index is None:
-            return None, frozenset(), 0.0
-        counters = self.prefilter_index.apply_batch(batch)
-        decisions: dict[str, PrefilterDecision] = {}
+        self._sinks = sinks or {}
+        return super().process_batch(batch)
+
+    # -- stage hooks -------------------------------------------------
+
+    def _decide(self, batch: UpdateBatch, counters: AccessCounters) -> RulebookDecision:
+        """One decision per representative; aliases inherit theirs."""
+        by_rep: dict[str, PrefilterDecision] = {}
         for query in self.representatives:
             decision = self.prefilter_index.evaluate(self.plans[query.name], batch)
             counters.merge(decision.counters)
-            decisions[query.name] = decision
+            by_rep[query.name] = decision
         skip_queries = frozenset(
-            q.name
-            for q in self.queries
-            if decisions[self.canonical_of[q.name]].skip_batch
+            q.name for q in self.queries if by_rep[self.canonical_of[q.name]].skip_batch
         )
-        ns = simulated_time_ns(counters, self.device, platform="cpu")
-        return decisions, skip_queries, ns
+        return RulebookDecision(by_rep, skip_queries, len(skip_queries) == len(self.queries))
 
-    # ------------------------------------------------------------------
-    def _pooled_estimate(
-        self,
-        batch: UpdateBatch,
-        decisions: dict[str, PrefilterDecision] | None = None,
-        skip_queries: frozenset[str] = frozenset(),
-    ) -> EstimationResult:
+    def _stage_estimate(self, job: BatchJob) -> EstimationResult:
         """Sum per-query unbiased estimates into one workload estimate.
 
         Iterates *all* queries (aliases included) in lexsorted order in both
@@ -286,12 +281,14 @@ class MultiQueryEngine:
         representative's *reduced* estimate batch.  This changes the
         estimate and therefore the cache — never results.
         """
+        decision = job.decision
+        skip_queries = decision.skip_queries if decision is not None else frozenset()
         active = [q for q in self.queries if q.name not in skip_queries]
         require(len(active) >= 1, "estimation needs at least one active query")
         max_degree = max(1, self.graph.max_degree())
         largest = max(q.num_vertices for q in active)
         total_walks = self.num_walks or default_num_walks(
-            len(batch), max_degree, largest
+            len(job.batch), max_degree, largest
         )
         budget = split_walk_budget(total_walks, len(active))
         pooled: np.ndarray | None = None
@@ -299,11 +296,9 @@ class MultiQueryEngine:
         nodes = 0
         walks = 0
         for query, query_walks in zip(active, budget):
-            est_batch = batch
-            if decisions is not None:
-                reduced = decisions[self.canonical_of[query.name]].estimate_batch
-                if reduced is not None:
-                    est_batch = reduced
+            est_batch = job.batch
+            if decision is not None:
+                est_batch = decision.by_rep[self.canonical_of[query.name]].estimate_batch
             result = self.estimator.estimate(
                 self.plans[query.name], est_batch,
                 num_walks=query_walks, max_degree=max_degree,
@@ -314,6 +309,67 @@ class MultiQueryEngine:
             walks += result.num_walks
         assert pooled is not None
         return EstimationResult(pooled, walks, nodes, counters)
+
+    #: one cache, one DMA: GCSM's own pack step
+    _stage_pack = GCSMEngine._stage_pack
+
+    def _stage_match(self, job: BatchJob, graph: DynamicGraph) -> MatchOutcome:
+        """The rulebook against the shared cache, shared trie or per query."""
+        selected, cache = job.placement
+        counters = AccessCounters()
+        view = CachedDeviceView(graph, self.device, counters, cache)
+        decision = job.decision
+        decisions = decision.by_rep if decision is not None else None
+        skip_queries = decision.skip_queries if decision is not None else frozenset()
+        match = self._match_shared if self.shared else self._match_independent
+        match_stats, per_query = match(
+            job.batch, view, counters, self._sinks, decisions, skip_queries
+        )
+        return self._outcome(
+            match_stats, counters, simulated_time_ns(counters, self.device, platform="gpu"),
+            match_counters_by_query=per_query, cached_vertices=selected,
+            cache_bytes=cache.total_bytes, cache_hits=view.hits, cache_misses=view.misses,
+        )
+
+    def _skip_outcome(self, job: BatchJob) -> MatchOutcome:
+        """Whole-rulebook certified skip: every query's ΔM is provably zero."""
+        by_rep = job.decision.by_rep
+        match_stats = {
+            q.name: MatchStats(roots_skipped=by_rep[self.canonical_of[q.name]].roots_total)
+            for q in self.queries
+        }
+        per_query = (
+            {q.name: AccessCounters() for q in self.queries}
+            if self.attribute_counters or not self.shared
+            else None
+        )
+        return self._outcome(match_stats, AccessCounters(), match_counters_by_query=per_query)
+
+    @staticmethod
+    def _outcome(match_stats, counters, match_ns=0.0, **fields) -> MatchOutcome:
+        total = MatchStats()
+        for stats in match_stats.values():
+            total.merge(stats)
+        fields.update(
+            match_stats=match_stats,
+            delta_counts={name: st.signed_count for name, st in match_stats.items()},
+        )
+        return MatchOutcome(total, counters, match_ns, fields)
+
+    def _result(self, job: BatchJob) -> MultiBatchResult:
+        prefilter = self._prefilter_stats(job)
+        if prefilter is not None:
+            prefilter = replace(prefilter, queries_skipped=len(job.decision.skip_queries))
+        return MultiBatchResult(
+            breakdown=job.breakdown,
+            match_counters=job.outcome.counters,
+            estimation=job.estimation,
+            shared=self.shared,
+            aliases={name: rep for name, rep in self.canonical_of.items() if name != rep},
+            trie_stats=self.trie.stats if self.shared else None,
+            prefilter=prefilter,
+            **job.outcome.fields,
+        )
 
     # ------------------------------------------------------------------
     def _match_independent(
@@ -439,165 +495,3 @@ class MultiQueryEngine:
                 if per_query is not None:
                     per_query[query.name] = _copy_counters(per_query[rep])
         return match_stats, per_query
-
-    # ------------------------------------------------------------------
-    def process_batch(
-        self, batch: UpdateBatch, *, sinks: dict | None = None
-    ) -> MultiBatchResult:
-        """One shared pipeline pass; every query matched incrementally.
-
-        ``sinks`` optionally maps query names to embedding sinks
-        ``(embedding, sign) -> None``; under shared execution an alias sink
-        receives the representative's embeddings remapped to the alias's
-        vertex numbering.
-        """
-        require(len(batch) > 0, "empty batch")
-        graph = self.graph
-        breakdown = TimeBreakdown()
-        sinks = sinks or {}
-
-        # -- shared step 1: update -----------------------------------------
-        raw_len = len(batch)  # the CPU scans (and classifies) every raw update
-        batch = graph.apply_batch(batch, mode=self.conflict_mode)
-        upd = AccessCounters()
-        avg_deg = max(2.0, 2.0 * graph.num_edges / max(1, graph.num_vertices))
-        upd.record_compute(raw_len * int(2 * (1 + math.log2(avg_deg))))
-        breakdown.update_ns = simulated_time_ns(upd, self.device, platform="cpu")
-
-        # -- shared step 1b: invariant maintenance + per-query skips ---------
-        decisions, skip_queries, breakdown.prefilter_ns = self._prefilter_batch(batch)
-        if decisions is not None and len(skip_queries) == len(self.queries):
-            # every rulebook entry certified ΔM = 0: skip estimation,
-            # packing, DMA, and the whole trie walk; reorganize only
-            return self._finish_skipped(
-                batch, breakdown, decisions, skip_queries
-            )
-
-        # -- shared step 2: pooled estimation --------------------------------
-        estimation = self._pooled_estimate(batch, decisions, skip_queries)
-        breakdown.estimate_ns = simulated_time_ns(
-            estimation.counters, self.device, platform="cpu_estimator"
-        )
-
-        # -- shared step 3: one cache, one DMA --------------------------------
-        selected = self.policy.select(
-            graph, estimation.frequencies, self.cache_budget_bytes
-        )
-        cache = DcsrCache.build(graph, selected)
-        pack = AccessCounters()
-        pack.record_compute(int(cache.colidx.shape[0]) + cache.num_cached)
-        from repro.gpu.transfer import DmaEngine
-
-        dma = AccessCounters()
-        dma_ns = DmaEngine(self.device, dma).transfer(cache.total_bytes)
-        breakdown.pack_ns = simulated_time_ns(pack, self.device, platform="cpu") + dma_ns
-
-        # -- step 4: rulebook matching against the shared cache ---------------
-        match_counters = AccessCounters()
-        view = CachedDeviceView(graph, self.device, match_counters, cache)
-        if self.shared:
-            match_stats, per_query = self._match_shared(
-                batch, view, match_counters, sinks, decisions, skip_queries
-            )
-        else:
-            match_stats, per_query = self._match_independent(
-                batch, view, match_counters, sinks, decisions, skip_queries
-            )
-        delta_counts = {name: st.signed_count for name, st in match_stats.items()}
-        breakdown.match_ns = simulated_time_ns(match_counters, self.device, platform="gpu")
-
-        # -- shared step 5: reorganize ----------------------------------------
-        breakdown.reorg_ns = self._reorganize()
-
-        self.batches_processed += 1
-        return MultiBatchResult(
-            delta_counts=delta_counts,
-            match_stats=match_stats,
-            breakdown=breakdown,
-            match_counters=match_counters,
-            estimation=estimation,
-            cached_vertices=selected,
-            cache_bytes=cache.total_bytes,
-            cache_hits=view.hits,
-            cache_misses=view.misses,
-            shared=self.shared,
-            match_counters_by_query=per_query,
-            aliases={
-                name: rep for name, rep in self.canonical_of.items() if name != rep
-            },
-            trie_stats=self.trie.stats if self.shared else None,
-            prefilter=self._prefilter_stats(breakdown, decisions, match_stats, False),
-        )
-
-    # ------------------------------------------------------------------
-    def _reorganize(self) -> float:
-        reorg = self.graph.reorganize()
-        rc = AccessCounters()
-        rc.record_compute(reorg.merged_elements + reorg.lists_touched)
-        rc.record_access(Channel.CPU_DRAM, 0, reorg.merged_elements * BYTES_PER_NEIGHBOR)
-        if self.prefilter_index is not None:
-            # the batch is settled: OLD adjacency is gone, drop the overlay
-            self.prefilter_index.close_batch()
-        return simulated_time_ns(rc, self.device, platform="cpu")
-
-    def _prefilter_stats(
-        self,
-        breakdown: TimeBreakdown,
-        decisions: dict[str, PrefilterDecision] | None,
-        match_stats: dict[str, MatchStats],
-        batch_skipped: bool,
-    ) -> PrefilterStats | None:
-        if decisions is None:
-            return None
-        return PrefilterStats(
-            enabled=True,
-            batches_skipped=int(batch_skipped),
-            roots_skipped=sum(st.roots_skipped for st in match_stats.values()),
-            queries_skipped=sum(
-                decisions[self.canonical_of[q.name]].skip_batch for q in self.queries
-            ),
-            maintenance_ns=breakdown.prefilter_ns,
-        )
-
-    def _finish_skipped(
-        self,
-        batch: UpdateBatch,
-        breakdown: TimeBreakdown,
-        decisions: dict[str, PrefilterDecision],
-        skip_queries: frozenset[str],
-    ) -> MultiBatchResult:
-        """Whole-rulebook certified skip: every query's ΔM is provably zero."""
-        breakdown.reorg_ns = self._reorganize()
-        match_stats = {
-            q.name: MatchStats(
-                roots_skipped=decisions[self.canonical_of[q.name]].roots_total
-            )
-            for q in self.queries
-        }
-        per_query = (
-            {q.name: AccessCounters() for q in self.queries}
-            if self.attribute_counters or not self.shared
-            else None
-        )
-        self.batches_processed += 1
-        return MultiBatchResult(
-            delta_counts={q.name: 0 for q in self.queries},
-            match_stats=match_stats,
-            breakdown=breakdown,
-            match_counters=AccessCounters(),
-            estimation=None,
-            cached_vertices=np.empty(0, dtype=VERTEX_DTYPE),
-            cache_bytes=0,
-            cache_hits=0,
-            cache_misses=0,
-            shared=self.shared,
-            match_counters_by_query=per_query,
-            aliases={
-                name: rep for name, rep in self.canonical_of.items() if name != rep
-            },
-            trie_stats=self.trie.stats if self.shared else None,
-            prefilter=self._prefilter_stats(breakdown, decisions, match_stats, True),
-        )
-
-    def snapshot(self) -> StaticGraph:
-        return self.graph.snapshot()

@@ -222,15 +222,6 @@ class PrefilterDecision:
             )
         return m
 
-    def to_stats(self, maintenance_ns: float = 0.0) -> PrefilterStats:
-        skipped = self.roots_total - (0 if self.skip_batch else self.roots_passing)
-        return PrefilterStats(
-            enabled=True,
-            batches_skipped=int(self.skip_batch),
-            roots_skipped=int(skipped),
-            maintenance_ns=maintenance_ns,
-        )
-
 
 # ----------------------------------------------------------------------
 # the index

@@ -171,16 +171,14 @@ def verify_stream(
         for name, system in systems.items():
             result = system.process_batch(batch)
             deltas[name] = result.delta_count
-            conflicts[name] = getattr(result, "conflicts", None)
+            conflicts[name] = result.conflicts
             if check_invariants:
-                store = getattr(system, "graph", None)
-                if store is not None:
-                    try:
-                        store.check_invariants()
-                    except ValueError as exc:
-                        raise ConsistencyError(
-                            f"batch {k}: {name} store invariant violated: {exc}"
-                        ) from exc
+                try:
+                    system.graph.check_invariants()
+                except ValueError as exc:
+                    raise ConsistencyError(
+                        f"batch {k}: {name} store invariant violated: {exc}"
+                    ) from exc
         distinct = set(deltas.values())
         if len(distinct) != 1:
             raise ConsistencyError(

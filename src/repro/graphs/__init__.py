@@ -13,7 +13,7 @@ from repro.graphs.stream import (
     churn_stream,
     derive_stream,
 )
-from repro.graphs.attributes import EdgeAttributeStore, edge_weight, edge_weights
+from repro.graphs.attributes import edge_weight, edge_weights
 from repro.graphs.window import WindowReport, apply_window
 from repro.graphs import generators, datasets
 
@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_CONFLICT_MODE",
     "derive_stream",
     "churn_stream",
-    "EdgeAttributeStore",
     "edge_weight",
     "edge_weights",
     "apply_window",

@@ -154,6 +154,8 @@ class UpdateBatch:
                 "signs must be +-1")
         require(bool(np.all(self.edges[:, 0] != self.edges[:, 1])) if self.edges.size else True,
                 "self-loop in batch")
+        require(bool(np.all(self.edges >= 0)) if self.edges.size else True,
+                "negative vertex id in batch")
         self.new_vertex_labels = dict(new_vertex_labels or {})
 
     def __len__(self) -> int:

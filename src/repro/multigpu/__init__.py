@@ -19,7 +19,6 @@ from repro.gpu.counters import Channel
 from repro.multigpu.comm import CommReport, allreduce_delta_ns, comm_report
 from repro.multigpu.engine import (
     LoadBalanceReport,
-    MultiBatchResult,
     MultiGpuEngine,
     ShardBatchReport,
 )
@@ -45,7 +44,6 @@ from repro.multigpu.shard import Shard, ShardedDeviceView
 
 __all__ = [
     "MultiGpuEngine",
-    "MultiBatchResult",
     "LoadBalanceReport",
     "ShardBatchReport",
     "Partitioner",

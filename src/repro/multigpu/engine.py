@@ -15,10 +15,14 @@ batch-for-batch, but fans the device-side steps over a fleet:
    shard, plus the ΔM all-reduce (reported separately as ``comm_ns``).
 5. **Reorganize** — host-side, shared.
 
-Steps 3 and 4 reuse the factored single-GPU internals
-(:func:`~repro.core.engine.pack_step`, the shared matching executor) rather
-than forking them, and run under :func:`repro.parallel.parallel_map` for
-wall-clock speedup of the harness itself.
+The engine is a :class:`~repro.core.engine.GCSMEngine` that overrides only
+the pack and match hooks of the shared batch lifecycle; every other stage is
+the single-GPU one.  The per-shard steps reuse
+:func:`~repro.core.engine.pack_step` and the shared matching executor, and
+run under :func:`repro.parallel.parallel_map` for wall-clock speedup of the
+harness itself.  Fleet diagnostics ride on the ordinary
+:class:`~repro.core.engine.BatchResult` (``shard_reports``,
+``load_balance``, ``comm``, ``repartition``).
 
 **Invariant (enforced by tests):** with ``devices=1`` the engine takes the
 exact single-GPU code path — no owner map, no peer caches, no collective —
@@ -32,36 +36,22 @@ cross-shard PEER traffic and the serial host phases.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.cache import CachePolicy
-from repro.core.engine import (
-    BatchResult,
-    GCSMEngine,
-    make_policy,
-    reorganize_step,
-    update_step,
-)
-from repro.core.frequency import (
-    DEFAULT_ESTIMATOR,
-    EstimationResult,
-    make_estimator,
-)
+from repro.core.engine import BatchJob, GCSMEngine, MatchOutcome
+from repro.core.frequency import DEFAULT_ESTIMATOR
 from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
-from repro.core.prefilter import (
-    DEFAULT_PREFILTER,
-    InvariantIndex,
-    normalize_prefilter,
-)
+from repro.core.prefilter import DEFAULT_PREFILTER
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
-from repro.graphs.stream import DEFAULT_CONFLICT_MODE, UpdateBatch
-from repro.gpu.clock import PipelineClock, ScheduleReport, TimeBreakdown, simulated_time_ns
+from repro.graphs.stream import DEFAULT_CONFLICT_MODE
+from repro.gpu.clock import PipelineClock, ScheduleReport, simulated_time_ns
 from repro.gpu.counters import AccessCounters, Channel
 from repro.gpu.device import ClusterConfig, DeviceConfig, default_device
-from repro.multigpu.comm import CommReport, allreduce_delta_ns, comm_report
+from repro.multigpu.comm import allreduce_delta_ns, comm_report
 from repro.multigpu.partition import Partitioner, _hash_owners, make_partitioner
 from repro.multigpu.repartition import (
     OwnershipManager,
@@ -72,10 +62,9 @@ from repro.multigpu.repartition import (
 from repro.multigpu.shard import Shard, ShardedDeviceView
 from repro.parallel import parallel_map
 from repro.query.pattern import QueryGraph
-from repro.query.plan import compile_delta_plans
-from repro.utils import as_generator, require, spawn_generator
+from repro.utils import require
 
-__all__ = ["MultiGpuEngine", "MultiBatchResult", "LoadBalanceReport", "ShardBatchReport"]
+__all__ = ["MultiGpuEngine", "LoadBalanceReport", "ShardBatchReport"]
 
 
 @dataclass(frozen=True)
@@ -164,35 +153,7 @@ class LoadBalanceReport:
         }
 
 
-@dataclass
-class MultiBatchResult(BatchResult):
-    """A :class:`~repro.core.engine.BatchResult` plus fleet diagnostics.
-
-    Duck-type compatible with the single-GPU result, so the bench harness
-    drives both engines through the same aggregation loop; the extras carry
-    the per-shard load-balance report and cross-device traffic summary.
-    """
-
-    shard_reports: list[ShardBatchReport] = field(default_factory=list)
-    load_balance: LoadBalanceReport | None = None
-    comm: CommReport | None = None
-    repartition: RepartitionReport | None = None
-
-
-class _ShardMatchOutcome:
-    """Mutable per-shard match-step result (internal)."""
-
-    __slots__ = ("stats", "counters", "match_ns", "view")
-
-    def __init__(self, stats: MatchStats, counters: AccessCounters,
-                 match_ns: float, view: ShardedDeviceView) -> None:
-        self.stats = stats
-        self.counters = counters
-        self.match_ns = match_ns
-        self.view = view
-
-
-class MultiGpuEngine:
+class MultiGpuEngine(GCSMEngine):
     """Continuous subgraph matching sharded across N simulated devices.
 
     Parameters mirror :class:`~repro.core.engine.GCSMEngine` (``policy``,
@@ -275,33 +236,17 @@ class MultiGpuEngine:
                 num_devices=int(devices), base=device or default_device()
             )
         self.num_devices = self.cluster.num_devices
-        self.device = self.cluster.device()
-        self.cache_budget_bytes = (
-            cache_budget_bytes
-            if cache_budget_bytes is not None
-            else self.device.cache_buffer_bytes
-        )
-        self.graph = DynamicGraph(initial_graph)
-        self.query = query
-        self.plans = compile_delta_plans(query)
-        self.num_walks = num_walks
-        self.adaptive_walks = adaptive_walks
-        # same RNG derivation as GCSMEngine: estimates are bit-identical
-        rng = as_generator(seed)
-        self.estimator = make_estimator(
-            estimator, self.graph, self.device,
-            seed=spawn_generator(rng), survival=survival,
-        )
-        self.estimator_name = estimator
-        self.policy = make_policy(policy)
-        self.executor = executor
-        self.conflict_mode = conflict_mode
-        # one shared host-side index for the whole fleet: maintenance is a
-        # host phase (like update/estimate), and the per-shard kernels only
-        # *read* it — so certified skips stay PEER-free
-        self.prefilter_name = normalize_prefilter(prefilter)
-        self.prefilter_index = (
-            InvariantIndex(self.graph) if self.prefilter_name != "off" else None
+        # the same estimator, RNG derivation and policy as GCSMEngine: the
+        # fleet's estimates are bit-identical to the single-GPU engine's.
+        # One shared host-side prefilter index serves the whole fleet:
+        # maintenance is a host phase, and each shard kernel reads the live
+        # index, which masks exactly the roots routed to it
+        super().__init__(
+            initial_graph, query, device=self.cluster.device(), policy=policy,
+            num_walks=num_walks, adaptive_walks=adaptive_walks,
+            cache_budget_bytes=cache_budget_bytes, survival=survival, seed=seed,
+            executor=executor, estimator=estimator, conflict_mode=conflict_mode,
+            prefilter=prefilter,
         )
         self.partitioner = make_partitioner(partitioner, partitioner_opts)
         self.repartition_config = normalize_repartition(repartition)
@@ -319,9 +264,8 @@ class MultiGpuEngine:
             Shard(i, dev, self.cache_budget_bytes)
             for i, dev in enumerate(self.cluster.devices())
         ]
-        self.batches_processed = 0
-        self.total_delta = 0
-        self.clock: PipelineClock | None = PipelineClock() if pipeline else None
+        if pipeline:
+            self.clock = PipelineClock()
 
     def schedule_report(self) -> ScheduleReport:
         """Stream-level pipeline schedule summary (``pipeline=True`` only)."""
@@ -329,68 +273,14 @@ class MultiGpuEngine:
         return self.clock.report()
 
     # ------------------------------------------------------------------
-    def process_batch(self, batch: UpdateBatch) -> MultiBatchResult:
-        """Run the sharded five-step pipeline for one batch."""
-        require(len(batch) > 0, "empty batch")
+    def _stage_pack(self, job: BatchJob):
+        """Partition, then per-shard select + pack + DMA (own links overlap).
+
+        Per-batch re-placement folds into the pack phase; sticky ownership
+        (repartition mode) is its own host stage, ``repartition_ns``.
+        """
         graph = self.graph
-        breakdown = TimeBreakdown()
-
-        # -- step 1: dynamic graph update (host, shared) -------------------
-        # every later step runs on the canonicalized *effective* batch
-        batch, breakdown.update_ns = update_step(
-            graph, batch, self.device, self.conflict_mode
-        )
-
-        # -- step 1b: invariant maintenance + certified skips (host) -------
-        decision = None
-        if self.prefilter_index is not None:
-            pc = self.prefilter_index.apply_batch(batch)
-            decision = self.prefilter_index.evaluate(self.plans, batch)
-            pc.merge(decision.counters)
-            breakdown.prefilter_ns = simulated_time_ns(pc, self.device, platform="cpu")
-            if decision.skip_batch:
-                # certified ΔM = 0 fleet-wide: no estimation, no per-shard
-                # pack, no kernels, no all-reduce — only the host settles
-                breakdown.reorg_ns = reorganize_step(graph, self.device)
-                self.prefilter_index.close_batch()
-                if self.clock is not None:
-                    self.clock.annotate(breakdown)
-                self.batches_processed += 1
-                return MultiBatchResult(
-                    delta_count=0,
-                    match_stats=MatchStats(roots_skipped=decision.roots_total),
-                    breakdown=breakdown,
-                    match_counters=AccessCounters(),
-                    estimation=None,
-                    cached_vertices=np.empty(0, dtype=np.int64),
-                    cache_bytes=0,
-                    cache_hits=0,
-                    cache_misses=0,
-                    conflicts=graph.last_canonical_report,
-                    prefilter=decision.to_stats(breakdown.prefilter_ns),
-                )
-
-        # -- step 2: frequency estimation (host, shared) -------------------
-        # root-masked updates shrink the shared walk budget for the fleet
-        estimate_input = decision.estimate_batch if decision is not None else batch
-        estimation: EstimationResult | None = None
-        if self.policy.requires_estimation:
-            if self.adaptive_walks:
-                estimation = self.estimator.estimate_adaptive(
-                    self.plans, estimate_input, initial_walks=self.num_walks
-                )
-            else:
-                estimation = self.estimator.estimate(
-                    self.plans, estimate_input, num_walks=self.num_walks
-                )
-            breakdown.estimate_ns = simulated_time_ns(
-                estimation.counters, self.device, platform="cpu_estimator"
-            )
-        frequencies = estimation.frequencies if estimation is not None else None
-
-        # -- partition (host) ----------------------------------------------
-        # per-batch re-placement folds into the pack phase; sticky ownership
-        # (repartition mode) is its own host stage: repartition_ns
+        frequencies = job.estimation.frequencies if job.estimation is not None else None
         owner: np.ndarray | None = None
         partition_ns = 0.0
         repart_report: RepartitionReport | None = None
@@ -399,16 +289,16 @@ class MultiGpuEngine:
             if self.ownership is None:
                 owner = self.partitioner.assign(
                     graph, frequencies, self.num_devices, part_counters,
-                    roots=batch.edges,
+                    roots=job.batch.edges,
                 )
                 partition_ns = simulated_time_ns(
                     part_counters, self.device, platform="cpu"
                 )
             else:
                 owner, repart_report = self._sticky_owner_step(
-                    graph, frequencies, part_counters, batch.edges
+                    graph, frequencies, part_counters, job.batch.edges
                 )
-                breakdown.repartition_ns = (
+                job.breakdown.repartition_ns = (
                     simulated_time_ns(part_counters, self.device, platform="cpu")
                     + (repart_report.repartition_ns if repart_report else 0.0)
                 )
@@ -416,22 +306,23 @@ class MultiGpuEngine:
                     # surface the full stage cost (planning compute +
                     # migration traffic) to JSON consumers
                     repart_report = replace(
-                        repart_report, repartition_ns=breakdown.repartition_ns
+                        repart_report, repartition_ns=job.breakdown.repartition_ns
                     )
 
-        # -- step 3: per-shard select + pack + DMA (own links overlap) -----
         ranked = self.policy.rank(graph, frequencies)
         parallel_map(
             lambda shard: shard.select_and_pack(graph, ranked, owner),
             self.shards,
             workers=self.workers,
         )
-        breakdown.pack_ns = partition_ns + max(s.pack_ns for s in self.shards)
+        return (owner, repart_report), partition_ns + max(s.pack_ns for s in self.shards)
 
-        # -- step 4: per-shard incremental matching ------------------------
+    def _stage_match(self, job: BatchJob, graph: DynamicGraph) -> MatchOutcome:
+        """Per-shard incremental matching, then the ΔM all-reduce."""
+        owner, repart_report = job.placement
         caches = [s.cache for s in self.shards]
 
-        def _match_one(shard: Shard) -> _ShardMatchOutcome:
+        def _match_one(shard: Shard):
             counters = AccessCounters()
             view = ShardedDeviceView(
                 graph, shard.device, counters, shard.cache,
@@ -444,80 +335,59 @@ class MultiGpuEngine:
             # the live index masker recomputes per shard-routed subset, so
             # skipped-root accounting partitions exactly across the fleet
             stats = match_batch(
-                self.plans, batch, view, root_mask=mask,
+                self.plans, job.batch, view, root_mask=mask,
                 prefilter=self.prefilter_index, executor=self.executor,
             )
             match_ns = simulated_time_ns(counters, shard.device, platform="gpu")
-            return _ShardMatchOutcome(stats, counters, match_ns, view)
+            return stats, counters, view, match_ns
 
-        outcomes = parallel_map(_match_one, self.shards, workers=self.workers)
-        breakdown.match_ns = max(o.match_ns for o in outcomes)
-        breakdown.comm_ns = (
+        stats, counters, views, shard_ns = zip(
+            *parallel_map(_match_one, self.shards, workers=self.workers)
+        )
+        job.breakdown.comm_ns = (
             allreduce_delta_ns(self.cluster, len(self.plans))
             if self.num_devices > 1
             else 0.0
         )
-
-        # -- step 5: reorganize CPU lists (host, shared) -------------------
-        breakdown.reorg_ns = reorganize_step(graph, self.device)
-        if self.prefilter_index is not None:
-            self.prefilter_index.close_batch()
-
-        # -- aggregate across the fleet ------------------------------------
         total_stats = MatchStats()
         merged = AccessCounters()
-        for o in outcomes:
-            total_stats.merge(o.stats)
-            merged.merge(o.counters)
-        shard_reports = [
-            ShardBatchReport(
-                shard_id=s.shard_id,
-                roots_processed=o.stats.roots_processed,
-                match_ns=o.match_ns,
-                pack_ns=s.pack_ns,
-                cache_bytes=s.cache.total_bytes,
-                cached_vertices=s.cache.num_cached,
-                local_hits=o.view.hits,
-                local_misses=o.view.misses,
-                remote_hits=o.view.remote_hits,
-                remote_misses=o.view.remote_misses,
-                peer_bytes=o.counters.bytes_by_channel[Channel.PEER],
-            )
-            for s, o in zip(self.shards, outcomes)
-        ]
-        balance = LoadBalanceReport(
-            shard_match_ns=tuple(o.match_ns for o in outcomes),
-            shard_roots=tuple(o.stats.roots_processed for o in outcomes),
-        )
-        comm = comm_report([o.counters for o in outcomes], breakdown.comm_ns)
+        for st, c in zip(stats, counters):
+            total_stats.merge(st)
+            merged.merge(c)
         if self.ownership is not None:
             # feed the heat EWMA with this batch's per-vertex read bytes
             self.ownership.observe(merged.vertex_access_bytes(graph.num_vertices))
-
-        if self.clock is not None:
-            self.clock.annotate(breakdown)
-        self.batches_processed += 1
-        self.total_delta += total_stats.signed_count
-        return MultiBatchResult(
-            delta_count=total_stats.signed_count,
-            match_stats=total_stats,
-            breakdown=breakdown,
-            match_counters=merged,
-            estimation=estimation,
-            cached_vertices=np.concatenate([s.selected for s in self.shards])
-            if self.shards
-            else np.empty(0, dtype=np.int64),
-            cache_bytes=sum(s.cache.total_bytes for s in self.shards),
-            cache_hits=sum(o.view.total_hits for o in outcomes),
-            cache_misses=sum(o.view.total_misses for o in outcomes),
-            conflicts=graph.last_canonical_report,
-            prefilter=decision.to_stats(breakdown.prefilter_ns)
-            if decision is not None
-            else None,
-            shard_reports=shard_reports,
-            load_balance=balance,
-            comm=comm,
-            repartition=repart_report,
+        shard_reports = [
+            ShardBatchReport(
+                shard_id=s.shard_id,
+                roots_processed=st.roots_processed,
+                match_ns=ns,
+                pack_ns=s.pack_ns,
+                cache_bytes=s.cache.total_bytes,
+                cached_vertices=s.cache.num_cached,
+                local_hits=view.hits,
+                local_misses=view.misses,
+                remote_hits=view.remote_hits,
+                remote_misses=view.remote_misses,
+                peer_bytes=c.bytes_by_channel[Channel.PEER],
+            )
+            for s, st, c, view, ns in zip(self.shards, stats, counters, views, shard_ns)
+        ]
+        return MatchOutcome(
+            total_stats, merged, max(shard_ns),
+            dict(
+                cached_vertices=np.concatenate([s.selected for s in self.shards]),
+                cache_bytes=sum(s.cache.total_bytes for s in self.shards),
+                cache_hits=sum(view.total_hits for view in views),
+                cache_misses=sum(view.total_misses for view in views),
+                shard_reports=shard_reports,
+                load_balance=LoadBalanceReport(
+                    shard_match_ns=shard_ns,
+                    shard_roots=tuple(st.roots_processed for st in stats),
+                ),
+                comm=comm_report(list(counters), job.breakdown.comm_ns),
+                repartition=repart_report,
+            ),
         )
 
     def _sticky_owner_step(
@@ -547,19 +417,3 @@ class MultiGpuEngine:
             counters.record_compute(n - old)
         self._owner, report = self.ownership.step(graph, self._owner, counters)
         return self._owner, report
-
-    def process_stream(self, batches: list[UpdateBatch]) -> list[MultiBatchResult]:
-        """Convenience: process a whole stream, returning per-batch results."""
-        return [self.process_batch(b) for b in batches]
-
-    def initial_match(self) -> tuple[int, float]:
-        """Static bootstrap pass — see :meth:`GCSMEngine.initial_match`.
-
-        Sharding the static pass is future work; it reuses the single-GPU
-        implementation (zero-copy path on one device).
-        """
-        return GCSMEngine.initial_match(self)  # type: ignore[arg-type]
-
-    def snapshot(self) -> StaticGraph:
-        """Current settled graph snapshot."""
-        return self.graph.snapshot()

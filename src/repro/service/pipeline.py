@@ -6,9 +6,8 @@ matchers generally) instead overlap host-side preparation with device-side
 matching: while the kernel matches batch *k*, the host already reorganizes
 batch *k*'s lists and updates/estimates/packs batch *k+1*.
 
-:class:`PipelinedEngine` implements that schedule on the stage methods the
-serial engine exposes (``_stage_update`` .. ``_stage_reorganize``), in two
-coupled ways:
+:class:`PipelinedEngine` re-sequences the stages of the one batch lifecycle
+(:class:`~repro.core.engine.BatchRunner`) in two coupled ways:
 
 * **Simulated time** — a :class:`~repro.gpu.clock.PipelineClock` places each
   batch's stage durations on FIFO CPU/GPU/PEER lanes and annotates the
@@ -40,15 +39,9 @@ spec in :mod:`repro.core.validation`.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.engine import BatchResult, GCSMEngine
-from repro.core.matching import MatchStats
-from repro.gpu.clock import PipelineClock, ScheduleReport, TimeBreakdown
-from repro.gpu.counters import AccessCounters
+from repro.core.engine import BatchJob, BatchResult, GCSMEngine
+from repro.gpu.clock import PipelineClock, ScheduleReport
 from repro.parallel import submit
-from repro.query.pattern import QueryGraph  # noqa: F401  (doc cross-ref)
-from repro.utils import VERTEX_DTYPE, require
 
 __all__ = ["PipelinedEngine"]
 
@@ -64,6 +57,12 @@ class PipelinedEngine(GCSMEngine):
         threaded — the simulated-time pipeline model still applies, so
         results and annotated breakdowns are identical either way; only
         the harness wall clock changes.
+
+    Within a batch, reorganize overlaps the match (the kernel reads a
+    frozen epoch); across ``process_batch`` calls the pipeline clock keeps
+    modeling cross-batch overlap, because its lanes persist on the engine.
+    For real cross-batch wall-clock overlap, feed whole streams to
+    :meth:`process_stream`.
     """
 
     name = "Pipelined"
@@ -73,41 +72,15 @@ class PipelinedEngine(GCSMEngine):
         self.threaded = threaded
         self.clock = PipelineClock()
 
-    # ------------------------------------------------------------------
-    def process_batch(self, batch) -> BatchResult:
-        """One batch through the staged pipeline.
-
-        Within the batch, reorganize overlaps the match (the kernel reads a
-        frozen epoch); across :meth:`process_batch` calls the pipeline
-        clock keeps modeling cross-batch overlap, because its lanes persist
-        on the engine.  For real cross-batch wall-clock overlap, feed whole
-        streams to :meth:`process_stream`.
-        """
-        require(len(batch) > 0, "empty batch")
-        breakdown = TimeBreakdown()
-        batch, breakdown.update_ns = self._stage_update(batch)
-        conflicts = self.graph.last_canonical_report
-        decision, breakdown.prefilter_ns = self._stage_prefilter(batch)
-        if decision is not None and decision.skip_batch:
-            breakdown.reorg_ns = self._stage_reorganize()
-            return self._finish_skipped(breakdown, decision, conflicts)
-        estimate_input = decision.estimate_batch if decision is not None else batch
-        estimation, breakdown.estimate_ns = self._stage_estimate(estimate_input)
-        selected, cache, breakdown.pack_ns = self._stage_pack(estimation)
-        if self.threaded:
-            with self.graph.freeze() as frozen:
-                task = submit(self._stage_match, batch, cache, frozen, decision)
-                breakdown.reorg_ns = self._stage_reorganize()
-                stats, match_counters, view, breakdown.match_ns = task.result()
-        else:
-            stats, match_counters, view, breakdown.match_ns = self._stage_match(
-                batch, cache, prefilter=decision
-            )
-            breakdown.reorg_ns = self._stage_reorganize()
-        return self._finish_batch(
-            breakdown, stats, match_counters, view, estimation,
-            selected, cache, conflicts, decision,
-        )
+    def _match_and_reorganize(self, job: BatchJob) -> None:
+        """Match on a frozen epoch while the host reorganizes the store."""
+        if job.skipped or not self.threaded:
+            super()._match_and_reorganize(job)
+            return
+        with self.graph.freeze() as frozen:
+            task = submit(self._stage_match, job, frozen)
+            job.breakdown.reorg_ns = self._stage_reorganize()
+            job.outcome = task.result()
 
     def process_stream(self, batches) -> list[BatchResult]:
         """Software-pipelined stream execution.
@@ -120,101 +93,41 @@ class PipelinedEngine(GCSMEngine):
         serial engine would have produced.
         """
         if not self.threaded:
-            return [self.process_batch(b) for b in batches]
+            return super().process_stream(batches)
         results: list[BatchResult] = []
         inflight = None
         for raw in batches:
-            require(len(raw) > 0, "empty batch")
-            breakdown = TimeBreakdown()
-            batch, breakdown.update_ns = self._stage_update(raw)
-            conflicts = self.graph.last_canonical_report
-            decision, breakdown.prefilter_ns = self._stage_prefilter(batch)
-            if decision is not None and decision.skip_batch:
+            job = self._open_batch(raw)
+            if job.skipped:
                 # certified ΔM = 0: nothing to ship to the device lane; the
                 # store still reorganizes, and the in-flight batch drains
                 # first so results stay in batch order
-                breakdown.reorg_ns = self._stage_reorganize()
+                self._match_and_reorganize(job)
                 if inflight is not None:
                     results.append(self._collect(*inflight))
                     inflight = None
-                results.append(self._finish_skipped(breakdown, decision, conflicts))
+                results.append(self._close_batch(job))
                 continue
-            estimate_input = decision.estimate_batch if decision is not None else batch
-            estimation, breakdown.estimate_ns = self._stage_estimate(estimate_input)
-            selected, cache, breakdown.pack_ns = self._stage_pack(estimation)
             frozen = self.graph.freeze()
             # the decision's masks are immutable, so the kernel thread never
             # races the live index (maintained on this host thread)
-            task = submit(self._stage_match, batch, cache, frozen, decision)
+            task = submit(self._stage_match, job, frozen)
             # host continues immediately: the freeze isolates the kernel
-            breakdown.reorg_ns = self._stage_reorganize()
+            job.breakdown.reorg_ns = self._stage_reorganize()
             if inflight is not None:
                 results.append(self._collect(*inflight))
-            inflight = (
-                task, frozen, breakdown, estimation, selected, cache, conflicts,
-                decision,
-            )
+            inflight = (job, task, frozen)
         if inflight is not None:
             results.append(self._collect(*inflight))
         return results
 
-    # ------------------------------------------------------------------
-    def _collect(
-        self, task, frozen, breakdown, estimation, selected, cache, conflicts,
-        decision=None,
-    ) -> BatchResult:
+    def _collect(self, job: BatchJob, task, frozen) -> BatchResult:
         try:
-            stats, match_counters, view, breakdown.match_ns = task.result()
+            job.outcome = task.result()
         finally:
             frozen.release()
-        return self._finish_batch(
-            breakdown, stats, match_counters, view, estimation,
-            selected, cache, conflicts, decision,
-        )
+        return self._close_batch(job)
 
-    def _finish_batch(
-        self, breakdown, stats, match_counters, view, estimation,
-        selected, cache, conflicts, decision=None,
-    ) -> BatchResult:
-        self.clock.annotate(breakdown)
-        self.batches_processed += 1
-        self.total_delta += stats.signed_count
-        return BatchResult(
-            delta_count=stats.signed_count,
-            match_stats=stats,
-            breakdown=breakdown,
-            match_counters=match_counters,
-            estimation=estimation,
-            cached_vertices=selected,
-            cache_bytes=cache.total_bytes,
-            cache_hits=view.hits,
-            cache_misses=view.misses,
-            conflicts=conflicts,
-            prefilter=decision.to_stats(breakdown.prefilter_ns)
-            if decision is not None
-            else None,
-        )
-
-    def _finish_skipped(self, breakdown, decision, conflicts) -> BatchResult:
-        """Batch-level certified skip: annotate the (prefilter + reorganize)
-        schedule and return an all-zero result carrying the skip stats."""
-        self.clock.annotate(breakdown)
-        self.batches_processed += 1
-        return BatchResult(
-            delta_count=0,
-            match_stats=MatchStats(roots_skipped=decision.roots_total),
-            breakdown=breakdown,
-            match_counters=AccessCounters(),
-            estimation=None,
-            cached_vertices=np.empty(0, dtype=VERTEX_DTYPE),
-            cache_bytes=0,
-            cache_hits=0,
-            cache_misses=0,
-            conflicts=conflicts,
-            prefilter=decision.to_stats(breakdown.prefilter_ns),
-        )
-
-    # ------------------------------------------------------------------
     def schedule_report(self) -> ScheduleReport:
         """Stream-level pipeline schedule summary (makespan, overlap, fill/drain)."""
         return self.clock.report()

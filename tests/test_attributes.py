@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.matching import filter_root_predicate
 from repro.core.reference import count_embeddings
 from repro.core.validation import verify_stream
-from repro.graphs import DynamicGraph, EdgeAttributeStore, UpdateBatch, edge_weight, edge_weights
+from repro.graphs import DynamicGraph, edge_weight, edge_weights
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
 from repro.query import QueryGraph
+from repro.query.plan import compile_delta_plans
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 PRED_TRIANGLE = TRIANGLE.with_edge_predicates(
@@ -47,43 +49,19 @@ class TestHashWeights:
         assert ws.shape == (3,)
         assert ws[1] == edge_weight(7, 2)
 
-
-class TestEdgeAttributeStore:
-    def test_falls_through_to_hash(self):
-        store = EdgeAttributeStore()
-        assert store.weight(2, 9) == edge_weight(2, 9)
-        assert np.array_equal(
-            store.pair_weights([2], [9]), edge_weights([2], [9])
-        )
-
-    def test_override_and_orientation(self):
-        store = EdgeAttributeStore()
-        store.set_weight(4, 1, 0.125)
-        assert store.weight(1, 4) == 0.125
-        assert store.pair_weights([4], [1])[0] == 0.125
-        store.clear_weight(1, 4)
-        assert store.weight(4, 1) == edge_weight(4, 1)
-
-    def test_insert_records_delete_deferred(self):
-        """Deleted overrides survive until close_batch (OLD-read epoch)."""
-        store = EdgeAttributeStore()
-        ins = UpdateBatch([(0, 1)], [+1])
-        store.apply_batch(ins, weights=np.array([0.75]))
-        assert store.weight(0, 1) == 0.75
-        store.close_batch()
-        dele = UpdateBatch([(0, 1)], [-1])
-        store.apply_batch(dele)
-        # open batch: OLD reads still see the explicit weight
-        assert store.weight(0, 1) == 0.75
-        store.close_batch()
-        assert store.weight(0, 1) == edge_weight(0, 1)
-        assert store.num_overrides == 0
-
-    def test_reinsert_cancels_pending_removal(self):
-        store = EdgeAttributeStore({(0, 1): 0.4})
-        store.apply_batch(UpdateBatch([(0, 1), (0, 1)], [-1, +1]))
-        store.close_batch()
-        assert store.weight(0, 1) == 0.4
+    def test_root_predicate_filters_on_hash_weight(self):
+        """The kernel's root filter keeps exactly the in-range hash weights."""
+        plan = next(p for p in compile_delta_plans(PRED_TRIANGLE) if p.root_predicate)
+        rng = np.random.default_rng(0)
+        roots = rng.integers(0, 50, size=(200, 2))
+        roots = roots[roots[:, 0] != roots[:, 1]]
+        signs = np.ones(roots.shape[0], dtype=np.int64)
+        kept, kept_signs = filter_root_predicate(plan, roots, signs)
+        lo, hi = plan.root_predicate
+        w = edge_weights(roots[:, 0], roots[:, 1])
+        assert np.array_equal(kept, roots[(w >= lo) & (w <= hi)])
+        assert 0 < kept.shape[0] < roots.shape[0]
+        assert kept_signs.shape[0] == kept.shape[0]
 
 
 class TestPredicatePushdown:
@@ -114,17 +92,6 @@ class TestPredicatePushdown:
         plain = verify_stream(["GCSM"], g0, TRIANGLE, batches[:2])
         loose = verify_stream(["GCSM"], g0, permissive, batches[:2])
         assert plain.delta_per_batch == loose.delta_per_batch
-
-    def test_oracle_respects_store_overrides(self):
-        g = erdos_renyi(30, 5.0, num_labels=1, seed=2)
-        q = TRIANGLE.with_edge_predicates(
-            {e: (0.0, 0.5) for e in TRIANGLE.edges}, name="t~half"
-        )
-        base = count_embeddings(g, q)
-        # force one data edge's weight out of range: count can only shrink
-        u, v = (int(x) for x in g.edge_array()[0])
-        store = EdgeAttributeStore({(u, v): 0.99})
-        assert count_embeddings(g, q, attributes=store) <= base
 
     def test_dynamic_engine_matches_recount(self):
         """Signed delta accumulates to a from-scratch final recount."""

@@ -101,18 +101,30 @@ class TestCostShape:
 
 
 class TestVsgmCapacity:
-    def test_capacity_error_on_big_khop(self):
+    @staticmethod
+    def _overflowing(prefilter="off"):
         g = powerlaw_graph(4000, 12.0, max_degree=150, num_labels=1, seed=8)
         g0, batches = derive_stream(g, num_updates=256, batch_size=256, seed=8)
         device = DeviceConfig(
             global_memory_bytes=20_000, kernel_reserve_bytes=10_000,
             cache_buffer_bytes=10_000,
         )
-        vsgm = make_system("VSGM", g0, TRIANGLE, device=device)
+        vsgm = make_system("VSGM", g0, TRIANGLE, device=device, prefilter=prefilter)
         with pytest.raises(VsgmCapacityError):
             vsgm.process_batch(batches[0])
+        return vsgm
+
+    def test_capacity_error_on_big_khop(self):
+        vsgm = self._overflowing()
         # the store was left consistent (reorganized) despite the failure
         assert not vsgm.graph.batch_open
+
+    def test_capacity_error_closes_prefilter(self):
+        vsgm = self._overflowing(prefilter="on")
+        assert not vsgm.graph.batch_open
+        vsgm.graph.check_invariants()
+        # the invariant index closed the batch in step with the store
+        vsgm.prefilter_index.assert_consistent()
 
     def test_small_batch_fits(self):
         g = erdos_renyi(200, 4.0, num_labels=1, seed=9)

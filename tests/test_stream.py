@@ -37,6 +37,24 @@ class TestUpdateBatch:
         with pytest.raises(ValueError):
             UpdateBatch([(0, 1), (1, 2)], [1])
 
+    def test_negative_vertex_id_never_reaches_the_store(self):
+        """A negative id used to be accepted and corrupt the base runs."""
+        from repro.core.engine import GCSMEngine
+        from repro.query import QueryGraph
+
+        g = erdos_renyi(200, 4.0, num_labels=2, seed=1)
+        engine = GCSMEngine(g, QueryGraph(3, [(0, 1), (1, 2), (0, 2)]))
+        before = engine.graph.snapshot()
+        with pytest.raises(ValueError, match="negative vertex id"):
+            engine.process_batch(UpdateBatch([[-2, 5]], [1]))
+        with pytest.raises(ValueError, match="negative vertex id"):
+            UpdateBatch([(3, 4), (7, -1)], [1, -1])
+        engine.graph.check_invariants()
+        after = engine.graph.snapshot()
+        assert np.array_equal(after.indptr, before.indptr)
+        assert np.array_equal(after.indices, before.indices)
+        assert engine.batches_processed == 0
+
 
 class TestCanonicalize:
     """Intra-batch netting + classification against the current store."""
