@@ -2,8 +2,10 @@
 
 Times both samplers on the same estimation workloads — ``estimate`` over a
 stream of batches for several queries and walk budgets — plus the vectorized
-vs reference ``DcsrCache.build`` at several cache sizes, and prints a speedup
-table (teed to ``benchmarks/results/estimator_wallclock.txt``).  Both
+``DcsrCache.build`` vs the per-vertex reference packing loop at several
+cache sizes, and prints a speedup table (teed to
+``benchmarks/results/estimator_wallclock.txt``).  The recursive sampler and
+the reference pack are the test suite's oracles (``tests/oracles.py``).  Both
 samplers perform an identical multiset of charges in the deterministic
 regime (enforced by ``tests/test_estimator_parity.py``) and both ``build``
 paths produce bit-identical arrays (``tests/test_dcsr.py``); the only
@@ -30,13 +32,13 @@ import numpy as np
 
 from conftest import run_once
 from repro.core.dcsr import DcsrCache
-from repro.core.frequency import make_estimator
 from repro.graphs import DynamicGraph
 from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.gpu import default_device
 from repro.query import compile_delta_plans, query_by_name
 from repro.utils import geometric_mean
+from tests.oracles import SAMPLERS, build_dcsr_reference
 
 GRAPH_N = 8_000
 BATCH_SIZE = 4_096
@@ -51,7 +53,7 @@ def _time_estimates(name: str, g0, batches, plans, num_walks: int) -> float:
     """Total ``estimate`` seconds over a stream (update/reorg excluded)."""
     device = default_device()
     graph = DynamicGraph(g0)
-    est = make_estimator(name, graph, device, seed=7, survival=1.0)
+    est = SAMPLERS[name](graph, device, seed=7, survival=1.0)
     total = 0.0
     for batch in batches:
         graph.apply_batch(batch)
@@ -98,7 +100,7 @@ def test_estimator_wallclock(benchmark, record_table):
         build_rows = []
         dyn = DynamicGraph(g0)
         dyn.apply_batch(batches[0])
-        est = make_estimator("frontier", dyn, default_device(), seed=7)
+        est = SAMPLERS["frontier"](dyn, default_device(), seed=7)
         plans = compile_delta_plans(query_by_name("Q1"))
         freq_result = est.estimate(plans, batches[0], num_walks=4096)
         for k in CACHE_SIZES:
@@ -108,7 +110,7 @@ def test_estimator_wallclock(benchmark, record_table):
                 verts = np.arange(GRAPH_N, dtype=np.int64)
             else:
                 verts = freq_result.top_vertices(k)
-            rec = _measure(_time_build, DcsrCache.build_reference, dyn, verts)
+            rec = _measure(_time_build, build_dcsr_reference, dyn, verts)
             fro = _measure(_time_build, DcsrCache.build, dyn, verts)
             build_rows.append((f"dcsr_build/k={verts.size}", rec, fro))
         return est_rows, build_rows

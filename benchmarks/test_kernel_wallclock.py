@@ -2,7 +2,9 @@
 
 Times both executors on the same workloads — incremental ``match_batch`` at
 several batch sizes plus a full-snapshot ``match_static`` pass — and prints
-a speedup table (teed to ``benchmarks/results/kernel_wallclock.txt``).  Both
+a speedup table (teed to ``benchmarks/results/kernel_wallclock.txt``).  The
+recursive executor is the test suite's reference
+(``tests/oracles.py``), swapped in with ``reference_kernels``.  Both
 executors produce bit-identical counters (enforced by
 ``tests/test_frontier_parity.py``); the only difference is Python-side
 wall-clock, which is exactly what this file measures.
@@ -32,6 +34,7 @@ from repro.query import (
     query_by_name,
 )
 from repro.utils import geometric_mean
+from tests.oracles import reference_kernels
 
 GRAPH_N = 8_000
 BATCH_SIZES = (128, 512, 1024)
@@ -43,13 +46,14 @@ def _time_batches(executor: str, g0, batches, plans) -> float:
     device = default_device()
     graph = DynamicGraph(g0)
     total = 0.0
-    for batch in batches:
-        graph.apply_batch(batch)
-        view = ZeroCopyView(graph, device, AccessCounters())
-        start = time.perf_counter()
-        match_batch(plans, batch, view, executor=executor)
-        total += time.perf_counter() - start
-        graph.reorganize()
+    with reference_kernels(executor=executor, estimator="frontier"):
+        for batch in batches:
+            graph.apply_batch(batch)
+            view = ZeroCopyView(graph, device, AccessCounters())
+            start = time.perf_counter()
+            match_batch(plans, batch, view)
+            total += time.perf_counter() - start
+            graph.reorganize()
     return total
 
 
@@ -57,9 +61,10 @@ def _time_static(executor: str, graph_static, plan) -> float:
     device = default_device()
     graph = DynamicGraph(graph_static)
     view = ZeroCopyView(graph, device, AccessCounters())
-    start = time.perf_counter()
-    match_static(plan, view, executor=executor)
-    return time.perf_counter() - start
+    with reference_kernels(executor=executor, estimator="frontier"):
+        start = time.perf_counter()
+        match_static(plan, view)
+        return time.perf_counter() - start
 
 
 def _measure(fn, *args) -> float:

@@ -270,7 +270,6 @@ class RunResult:
     coverage_top5: float | None = None
     cache_hit_rate: float | None = None
     cache_bytes: int = 0  # mean per batch
-    estimator: str | None = None  # FE sampler the system was configured with
     conflict_mode: str | None = None  # update-conflict policy (Sec. V-A hardening)
     # -- multi-GPU extras (left at defaults for single-device systems) -----
     num_devices: int = 1
@@ -414,7 +413,6 @@ def run_stream(
         coverage_top5=float(np.mean(cov5)) if cov5 else None,
         cache_hit_rate=hits / (hits + misses) if (hits + misses) else None,
         cache_bytes=cache_bytes // n,
-        estimator=system.estimator_name,
         conflict_mode=system.conflict_mode,
         num_devices=system.num_devices,
         partitioner=system.partitioner.name if system.partitioner is not None else None,
@@ -519,7 +517,6 @@ def run_rulebook_stream(
         cpu_access_bytes=cpu_bytes // n,
         cache_hit_rate=hits / (hits + misses) if (hits + misses) else None,
         cache_bytes=cache_bytes // n,
-        estimator=engine.estimator_name,
         conflict_mode=engine.conflict_mode,
         shared=shared,
         rulebook_size=len(queries),

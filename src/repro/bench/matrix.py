@@ -1,9 +1,9 @@
 """Declarative factorial scenario-matrix runner with regression gates.
 
 A :class:`ScenarioSpec` declares *factors* — graph family, update mix,
-batch size, executor, estimator, conflict mode, device-fleet size,
-partitioner, pre-filter, edge predicate, TTL window — each with one or
-more levels.  :func:`expand_cells` takes the full cartesian product,
+batch size, conflict mode, device-fleet size, partitioner, pre-filter,
+edge predicate, TTL window — each with one or more levels.
+:func:`expand_cells` takes the full cartesian product,
 prunes combinations that are invalid by construction (e.g. ``devices``
 with a non-GCSM system, ``window`` under ``strict`` conflict handling),
 and optionally draws a deterministic fractional sample.  Each surviving
@@ -37,8 +37,6 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from repro.core.baselines import SYSTEM_NAMES
-from repro.core.frequency import ESTIMATORS
-from repro.core.matching import EXECUTORS
 from repro.graphs import datasets
 from repro.graphs.stream import CONFLICT_MODES
 from repro.multigpu.partition import PARTITIONER_NAMES
@@ -74,8 +72,6 @@ FACTOR_DEFAULTS: dict[str, object] = {
     "update_mix": "mixed",
     "batch_size": None,  # dataset default
     "num_batches": 2,
-    "executor": "frontier",
-    "estimator": "frontier",
     "conflict_mode": "coalesce",
     "devices": None,  # single-GPU engine
     "partitioner": "hash",
@@ -141,8 +137,6 @@ def _check_level(factor: str, value: object) -> None:
         "update_mix": lambda v: v in _UPDATE_MIXES,
         "batch_size": lambda v: v is None or (isinstance(v, int) and v > 0),
         "num_batches": lambda v: isinstance(v, int) and v > 0,
-        "executor": lambda v: v in EXECUTORS,
-        "estimator": lambda v: v in ESTIMATORS,
         "conflict_mode": lambda v: v in CONFLICT_MODES,
         "devices": lambda v: v is None or (isinstance(v, int) and v >= 1),
         "partitioner": lambda v: v in PARTITIONER_NAMES,
@@ -322,8 +316,6 @@ def run_cell(cell: Mapping, *, seed: int = 0) -> dict:
         seed=seed,
         update_mix=cell["update_mix"],
         window=cell["window"],
-        executor=cell["executor"],
-        estimator=cell["estimator"],
         conflict_mode=cell["conflict_mode"],
         prefilter=cell["prefilter"],
     )
@@ -468,12 +460,13 @@ class RegressionReport:
     )
     #: exact-metric breaks: (cell_id, metric, baseline, current)
     mismatches: list[tuple[str, str, float, float]] = field(default_factory=list)
+    #: baseline cells the fresh run did not reproduce (fail the gate)
     missing_cells: list[str] = field(default_factory=list)
     new_cells: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.regressions and not self.mismatches
+        return not self.regressions and not self.mismatches and not self.missing_cells
 
     def describe(self) -> str:
         lines = [
@@ -491,6 +484,8 @@ class RegressionReport:
                 f"  MISMATCH {metric} {base:,.0f} -> {cur:,.0f} "
                 f"(must be exact)\n    in {cid}"
             )
+        for cid in self.missing_cells:
+            lines.append(f"  MISSING baseline cell not reproduced\n    in {cid}")
         if self.ok:
             lines.append("  OK: no regressions beyond tolerance")
         return "\n".join(lines)
@@ -499,17 +494,25 @@ class RegressionReport:
 def compare_trajectories(
     current: Mapping, baseline: Mapping, *, max_regress_pct: float = 20.0
 ) -> RegressionReport:
-    """Gate ``current`` against ``baseline`` over their shared cells.
+    """Gate ``current`` against ``baseline``.
 
     Simulated-time and counter metrics (:data:`GATED_METRICS`) may grow by
     at most ``max_regress_pct`` percent; determinism metrics
-    (:data:`EXACT_METRICS`) must be bit-identical.  Improvements and
+    (:data:`EXACT_METRICS`) must be bit-identical.  Every baseline cell
+    must be reproduced — a missing one fails the gate — except that a run
+    restricted by factor filters (``current["filters"]``) answers only for
+    the baseline cells matching them.  Improvements, new cells and
     wall-clock changes never fail the gate.
     """
     if max_regress_pct < 0:
         raise ValueError("max_regress_pct must be >= 0")
+    filters = current.get("filters") or {}
     cur_by_id = {r["cell_id"]: r["metrics"] for r in current["records"]}
-    base_by_id = {r["cell_id"]: r["metrics"] for r in baseline["records"]}
+    base_by_id = {
+        r["cell_id"]: r["metrics"] for r in baseline["records"]
+        if all(f in r.get("factors", {}) and _fmt_level(r["factors"][f]) == str(v)
+               for f, v in filters.items())
+    }
     report = RegressionReport(max_regress_pct=max_regress_pct)
     report.missing_cells = sorted(set(base_by_id) - set(cur_by_id))
     report.new_cells = sorted(set(cur_by_id) - set(base_by_id))

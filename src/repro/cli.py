@@ -27,8 +27,6 @@ from typing import Sequence
 from repro.bench import figures
 from repro.bench.harness import build_workload, print_table, run_stream
 from repro.core.baselines import SYSTEM_NAMES
-from repro.core.frequency import DEFAULT_ESTIMATOR, ESTIMATORS
-from repro.core.matching import DEFAULT_EXECUTOR, EXECUTORS
 from repro.core.results import ExperimentRecord, save_records, summarize
 from repro.gpu.device import INTERCONNECTS, ClusterConfig
 from repro.graphs import datasets
@@ -112,15 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="host thread-pool width for per-shard work "
                             "(default: repro.parallel.default_workers() — "
                             "min(cpu_count, 8)); simulated time is unaffected")
-    run_p.add_argument("--executor", default=DEFAULT_EXECUTOR, choices=EXECUTORS,
-                       help="matching executor: the batched frontier kernel "
-                            "(default) or the recursive reference; both are "
-                            "counter-identical, only wall-clock differs")
-    run_p.add_argument("--estimator", default=DEFAULT_ESTIMATOR, choices=ESTIMATORS,
-                       help="frequency-estimation sampler: the level-"
-                            "synchronous merged-frontier walker (default) or "
-                            "the recursive reference; identical in the "
-                            "deterministic regime, only wall-clock differs")
     run_p.add_argument("--conflict-mode", default=None, choices=CONFLICT_MODES,
                        help="update-conflict policy for duplicate inserts / "
                             "phantom deletes / same-batch churn: strict "
@@ -273,10 +262,6 @@ def _cmd_run_rulebook(args: argparse.Namespace) -> int:
         print("--rulebook and --devices are mutually exclusive", file=sys.stderr)
         return 2
     extra: dict = {}
-    if args.executor != DEFAULT_EXECUTOR:
-        extra["executor"] = args.executor
-    if args.estimator != DEFAULT_ESTIMATOR:
-        extra["estimator"] = args.estimator
     if args.conflict_mode is not None:
         extra["conflict_mode"] = args.conflict_mode
     if args.prefilter is not None:
@@ -327,10 +312,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.rulebook is not None:
         return _cmd_run_rulebook(args)
     extra: dict = {}
-    if args.executor != DEFAULT_EXECUTOR:
-        extra["executor"] = args.executor
-    if args.estimator != DEFAULT_ESTIMATOR:
-        extra["estimator"] = args.estimator
     if args.devices is not None:
         if args.system != "GCSM":
             print(f"--devices only applies to GCSM, not {args.system}",

@@ -1,7 +1,8 @@
 """GCSM core: the paper's contribution.
 
-* :mod:`repro.core.matching`  — the incremental WCOJ executor (the
-  STMatch-derived kernel of Sec. V-C, expressed over graph views).
+* :mod:`repro.core.matching`  — the incremental WCOJ kernel (the
+  STMatch-derived kernel of Sec. V-C, expressed over graph views), run by
+  the level-synchronous :mod:`repro.core.frontier` executor.
 * :mod:`repro.core.frequency` — random-walk access-frequency estimation
   (Sec. IV, Theorem 1, and the merged binomial execution of Sec. IV-B).
 * :mod:`repro.core.dcsr`      — the doubly-compressed cache format (Sec. V-B).
@@ -14,22 +15,9 @@
 * :mod:`repro.core.reference` — brute-force oracle for correctness tests.
 """
 
-from repro.core.matching import (
-    DEFAULT_EXECUTOR,
-    EXECUTORS,
-    MatchStats,
-    match_batch,
-    match_static,
-)
+from repro.core.matching import MatchStats, match_batch, match_static
 from repro.core.frontier import FrontierExecutor
-from repro.core.frequency import (
-    DEFAULT_ESTIMATOR,
-    ESTIMATORS,
-    EstimationResult,
-    FrequencyEstimator,
-    make_estimator,
-    required_walks,
-)
+from repro.core.frequency import EstimationResult, FrequencyEstimator, required_walks
 from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.dcsr import DcsrCache
 from repro.core.cache import CachePolicy, FrequencyCachePolicy, DegreeCachePolicy, CachedDeviceView
@@ -40,14 +28,9 @@ __all__ = [
     "MatchStats",
     "match_batch",
     "match_static",
-    "EXECUTORS",
-    "DEFAULT_EXECUTOR",
     "FrontierExecutor",
     "FrequencyEstimator",
     "FrontierFrequencyEstimator",
-    "make_estimator",
-    "ESTIMATORS",
-    "DEFAULT_ESTIMATOR",
     "EstimationResult",
     "required_walks",
     "DcsrCache",

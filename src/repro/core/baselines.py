@@ -27,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine import BatchJob, BatchRunner, GCSMEngine, MatchOutcome
-from repro.core.frequency import DEFAULT_ESTIMATOR
-from repro.core.matching import DEFAULT_EXECUTOR, match_batch
+from repro.core.matching import match_batch
 from repro.core.prefilter import DEFAULT_PREFILTER
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
@@ -76,9 +75,7 @@ class SimpleViewSystem(BatchRunner):
     def _stage_match(self, job: BatchJob, graph: DynamicGraph) -> MatchOutcome:
         counters = AccessCounters()
         view = self.view_class(graph, self.device, counters)
-        stats = match_batch(
-            self.plans, job.batch, view, prefilter=job.decision, executor=self.executor
-        )
+        stats = match_batch(self.plans, job.batch, view, prefilter=job.decision)
         return MatchOutcome(
             stats, counters, simulated_time_ns(counters, self.device, platform=view.platform),
             dict(cache_misses=stats.roots_processed),
@@ -125,8 +122,6 @@ class NaiveDegreeCacheSystem(GCSMEngine):
         device: DeviceConfig | None = None,
         cache_budget_bytes: int = NAIVE_CACHE_BUDGET_BYTES,
         seed=0,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
         conflict_mode: str = DEFAULT_CONFLICT_MODE,
         prefilter: str = DEFAULT_PREFILTER,
     ) -> None:
@@ -137,8 +132,6 @@ class NaiveDegreeCacheSystem(GCSMEngine):
             policy="degree",
             cache_budget_bytes=cache_budget_bytes,
             seed=seed,
-            executor=executor,
-            estimator=estimator,
             conflict_mode=conflict_mode,
             prefilter=prefilter,
         )
@@ -220,9 +213,7 @@ class VsgmSystem(BatchRunner):
         resident, copy_bytes = job.placement
         counters = AccessCounters()
         view = FullDeviceView(graph, self.device, counters, resident)
-        stats = match_batch(
-            self.plans, job.batch, view, prefilter=job.decision, executor=self.executor
-        )
+        stats = match_batch(self.plans, job.batch, view, prefilter=job.decision)
         cached = np.fromiter(resident, dtype=np.int64, count=len(resident))
         return MatchOutcome(
             stats, counters, simulated_time_ns(counters, self.device, platform="gpu"),

@@ -40,12 +40,9 @@ from repro.core.cache import (
     HybridCachePolicy,
 )
 from repro.core.dcsr import DcsrCache
-from repro.core.frequency import (
-    DEFAULT_ESTIMATOR,
-    EstimationResult,
-    make_estimator,
-)
-from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
+from repro.core.frequency import EstimationResult
+from repro.core.frequency_frontier import FrontierFrequencyEstimator
+from repro.core.matching import MatchStats, match_batch, match_static
 from repro.core.prefilter import (
     DEFAULT_PREFILTER,
     InvariantIndex,
@@ -287,17 +284,11 @@ class BatchRunner:
         initial_graph: StaticGraph,
         *,
         device: DeviceConfig | None = None,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
         conflict_mode: str = DEFAULT_CONFLICT_MODE,
         prefilter: str = DEFAULT_PREFILTER,
     ) -> None:
         self.device = device or default_device()
         self.graph = DynamicGraph(initial_graph)
-        self.executor = executor
-        # systems that never estimate still record the configured choice,
-        # so harness/results JSON stays uniform across systems
-        self.estimator_name = estimator
         self.conflict_mode = conflict_mode
         self.prefilter_name = normalize_prefilter(prefilter)
         self.prefilter_index = (
@@ -477,14 +468,11 @@ class GCSMEngine(BatchRunner):
         cache_budget_bytes: int | None = None,
         survival: float | None = 1.0,
         seed: int | np.random.Generator | None = 0,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
         conflict_mode: str = DEFAULT_CONFLICT_MODE,
         prefilter: str = DEFAULT_PREFILTER,
     ) -> None:
         super().__init__(
-            initial_graph, device=device, executor=executor, estimator=estimator,
-            conflict_mode=conflict_mode, prefilter=prefilter,
+            initial_graph, device=device, conflict_mode=conflict_mode, prefilter=prefilter,
         )
         self.cache_budget_bytes = (
             cache_budget_bytes
@@ -496,9 +484,8 @@ class GCSMEngine(BatchRunner):
         self.num_walks = num_walks
         self.adaptive_walks = adaptive_walks
         rng = as_generator(seed)
-        self.estimator = make_estimator(
-            estimator, self.graph, self.device,
-            seed=spawn_generator(rng), survival=survival,
+        self.estimator = FrontierFrequencyEstimator(
+            self.graph, self.device, seed=spawn_generator(rng), survival=survival,
         )
         self.policy: CachePolicy = make_policy(policy)
 
@@ -528,9 +515,7 @@ class GCSMEngine(BatchRunner):
         selected, cache = job.placement
         counters = AccessCounters()
         view = CachedDeviceView(graph, self.device, counters, cache)
-        stats = match_batch(
-            self.plans, job.batch, view, prefilter=job.decision, executor=self.executor
-        )
+        stats = match_batch(self.plans, job.batch, view, prefilter=job.decision)
         return MatchOutcome(
             stats, counters, simulated_time_ns(counters, self.device, platform="gpu"),
             dict(cached_vertices=selected, cache_bytes=cache.total_bytes,
@@ -547,13 +532,10 @@ class GCSMEngine(BatchRunner):
         the CPU).  Returns ``(embedding_count, simulated_ns)``.
         """
         require(not self.graph.batch_open, "settle the open batch first")
-        from repro.core.matching import match_static
         from repro.gpu.views import ZeroCopyView
         from repro.query.plan import compile_static_plan
 
         counters = AccessCounters()
         view = ZeroCopyView(self.graph, self.device, counters)
-        stats = match_static(
-            compile_static_plan(self.query), view, executor=self.executor
-        )
+        stats = match_static(compile_static_plan(self.query), view)
         return stats.signed_count, simulated_time_ns(counters, self.device, platform="gpu")

@@ -1,13 +1,13 @@
 """Level-synchronous merged-frontier frequency estimator (the GPU analog).
 
-The recursive sampler in :mod:`repro.core.frequency` expands one execution
-tree node per Python frame — one ``np.intersect1d``, one scalar binomial
-draw, one ``_fetch`` pair of counter updates per node.  That is faithful to
-the paper's description but interpreter-bound, exactly like the recursive
-matching executor was before PR 3.  GPU samplers (GSI's BFS-style joins,
-batch-dynamic matchers) run level-synchronous instead: every surviving walk
-node of one tree level is a row of a flat frontier, and one "kernel launch"
-expands the whole level.  This module is that execution shape in NumPy:
+This is the one frequency sampler every engine runs.  A depth-first
+sampler expands one execution tree node per Python frame — one
+``np.intersect1d``, one scalar binomial draw, one pair of counter updates
+per node.  That is faithful to the paper's description but
+interpreter-bound, exactly like a depth-first matching executor.  GPU
+samplers (GSI's BFS-style joins, batch-dynamic matchers) run
+level-synchronous instead: every surviving walk node of one tree level is a
+row of a flat frontier, and one "kernel launch" expands the whole level.  This module is that execution shape in NumPy:
 
 * The frontier is ``(rows, multiplicity, weight)``: an ``(r, level+2)``
   matrix of bound data vertices, the per-node merged walk multiplicity
@@ -21,12 +21,13 @@ expands the whole level.  This module is that execution shape in NumPy:
   simultaneous binary search over all (candidate, list) lanes.
 * All surviving children of a level draw their continuation multiplicities
   in **one** vectorized ``rng.binomial`` call; saturated children
-  (``p == 1``) skip the RNG entirely, mirroring the recursive reference.
+  (``p == 1``) skip the RNG entirely, mirroring the depth-first reference.
 * Frequency charges accumulate via ``np.add.at`` and FE counters are
   charged in bulk via
   :meth:`~repro.gpu.counters.AccessCounters.record_access_block`.
 
-**Parity contract** (enforced by ``tests/test_estimator_parity.py``):
+**Parity contract** (enforced by ``tests/test_estimator_parity.py``
+against the depth-first reference in ``tests/oracles.py``):
 
 (a) in the deterministic full-expansion regime — ``survival`` large enough
     that every child-continuation probability saturates to 1 — the
@@ -62,11 +63,11 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 class FrontierFrequencyEstimator(FrequencyEstimator):
-    """Drop-in peer of :class:`~repro.core.frequency.FrequencyEstimator`.
+    """The level-synchronous merged-walk sampler.
 
-    Same constructor, same ``estimate``/``estimate_adaptive`` signatures and
-    statistical contract; the execution shape is level-synchronous instead
-    of recursive.
+    Constructor and ``estimate_adaptive`` come from
+    :class:`~repro.core.frequency.FrequencyEstimator`; the depth-first test
+    oracle shares both and the statistical contract.
     """
 
     #: touched-vertex snapshot of the batch being estimated (set per call)
@@ -81,6 +82,11 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
         num_walks: int | None = None,
         max_degree: int | None = None,
     ) -> EstimationResult:
+        """Run the merged sampler over all delta plans.
+
+        The walk budget is split evenly across the m plans (each ΔM_i tree
+        is sampled independently; their access frequencies add).
+        """
         graph = self.graph
         labels = graph.labels
         n = graph.num_vertices
@@ -113,7 +119,7 @@ class FrontierFrequencyEstimator(FrequencyEstimator):
             if num_roots == 0:
                 continue
             # B_root ~ Binomial(M, 1/|ΔR_i|) per root — the identical call
-            # the recursive reference makes, so the streams stay aligned
+            # the depth-first reference makes, so the streams stay aligned
             b_roots = self.rng.binomial(walks_per_plan, 1.0 / num_roots, size=num_roots)
             live = np.nonzero(b_roots > 0)[0]
             rows = roots[live].astype(np.int64, copy=False)

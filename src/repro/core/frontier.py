@@ -1,9 +1,10 @@
 """Frontier-based batched WCOJ executor (the warp-centric kernel analog).
 
-The recursive executor in :mod:`repro.core.matching` expands one root at a
-time, descending per candidate in Python — faithful, but the per-node
-interpreter overhead dominates wall-clock.  Real GPU matchers (GSI's
-Prealloc-Combine joins, Gunrock's subgraph-matching advance/filter
+This is the one matching kernel every system runs (through
+:func:`repro.core.matching.match_batch`).  A depth-first executor expands
+one root at a time, descending per candidate in Python — faithful, but the
+per-node interpreter overhead dominates wall-clock.  Real GPU matchers
+(GSI's Prealloc-Combine joins, Gunrock's subgraph-matching advance/filter
 operators) instead run *level-synchronous*: every partial embedding of one
 depth is a row of a frontier, and one kernel launch extends the whole
 frontier by one query vertex.  This module is that execution shape in
@@ -18,15 +19,14 @@ NumPy:
 * **Counter parity is exact.**  Every neighbor-list access is charged
   through :meth:`~repro.gpu.views.GraphView.fetch_block` (the batched
   equivalent of per-access ``fetch``), every ``record_compute`` /
-  ``record_output`` charge of the recursive executor is reproduced as a
+  ``record_output`` charge of the depth-first executor is reproduced as a
   vectorized sum over rows, and per-row constraint ordering replicates the
   smallest-list-first heuristic with a stable argsort.  ``MatchStats``,
   per-channel byte/transaction counters, and the per-vertex access
-  histogram are bit-identical to the recursive executor, so every
-  simulated time in the reproduction is unchanged.
-* Embeddings reach the sink in the **same order** as the recursive
-  executor: the frontier preserves lexicographic (root, candidate…) order,
-  which is exactly depth-first emission order.
+  histogram are bit-identical to the depth-first reference that the test
+  suite keeps as its parity oracle (``tests/oracles.py``).
+* Embeddings reach the sink in **depth-first order**: the frontier
+  preserves lexicographic (root, candidate…) order.
 
 The one modeled divergence is access *order*: the frontier issues all of a
 level's reads before the next level's, while recursion interleaves levels
@@ -36,17 +36,64 @@ and only under eviction pressure — see ``docs/kernel.md``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.core.matching import MatchStats, _merge_runs
 from repro.graphs.attributes import edge_weights
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
 from repro.query.plan import EdgeVersion, LevelPlan, MatchPlan
+from repro.utils import merge_sorted
 
-__all__ = ["FrontierKernel", "FrontierExecutor", "segmented_contains"]
+__all__ = ["MatchStats", "FrontierKernel", "FrontierExecutor", "merge_runs", "segmented_contains"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+@dataclass
+class MatchStats:
+    """Outcome of executing one or more plans.
+
+    ``signed_count`` is the IVM result: insertions contribute ``+1`` per
+    embedding, deletions ``-1``; summed over all ΔM_i plans it equals
+    ``count(G_{k+1}) − count(G_k)``.  ``embeddings_found`` counts emitted
+    embeddings regardless of sign.
+
+    ``roots_skipped`` counts directed roots removed by a certified
+    aggregate-invariant pre-filter (``repro.core.prefilter``) before the
+    executor ran; always 0 with ``prefilter="off"``, and by construction
+    ``roots_processed(on) + roots_skipped(on) == roots_processed(off)``.
+    """
+
+    signed_count: int = 0
+    embeddings_found: int = 0
+    roots_processed: int = 0
+    tree_nodes: int = 0
+    roots_skipped: int = 0
+
+    def merge(self, other: "MatchStats") -> None:
+        self.signed_count += other.signed_count
+        self.embeddings_found += other.embeddings_found
+        self.roots_processed += other.roots_processed
+        self.tree_nodes += other.tree_nodes
+        self.roots_skipped += other.roots_skipped
+
+
+def merge_runs(runs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Merge already-sorted runs into one sorted array (linear merge).
+
+    The runs arrive sorted from the store (base run, sorted ΔN), so a
+    concatenate-then-full-sort is wasted work — each pair is folded with the
+    linear :func:`~repro.utils.merge_sorted` kernel.  The single-run fast
+    path returns the stored array untouched (no copy).
+    """
+    if len(runs) == 1:
+        return runs[0]
+    merged = runs[0]
+    for r in runs[1:]:
+        merged = merge_sorted(merged, r)
+    return merged
 
 
 def segmented_contains(
@@ -130,7 +177,7 @@ class FrontierKernel:
         for v in uniq.tolist():
             arr = pool.get((v, old))
             if arr is None:
-                arr = _merge_runs(peek(v, version))
+                arr = merge_runs(peek(v, version))
                 pool[(v, old)] = arr
             arrays.append(arr)
         lens_u = np.fromiter((a.size for a in arrays), count=len(arrays), dtype=np.int64)
@@ -268,8 +315,8 @@ class FrontierKernel:
 class FrontierExecutor(FrontierKernel):
     """Level-synchronous execution of one plan over all of its roots.
 
-    Drop-in peer of the recursive ``_PlanExecutor``: same constructor
-    signature, same view/counters contract, bit-identical stats.
+    ``run(roots, signs)`` returns the plan's :class:`MatchStats`; the
+    test suite's depth-first oracle has the same constructor and ``run``.
     """
 
     def __init__(

@@ -1,52 +1,45 @@
-"""Incremental WCOJ matching executor (the paper's GPU kernel, Sec. V-C).
+"""Incremental WCOJ matching (the paper's GPU kernel, Sec. V-C).
 
 This is the reproduction's analog of the STMatch-derived CUDA kernel: it
-executes the nested-loop plans of :mod:`repro.query.plan` depth-first,
-binding one query vertex per level by intersecting the (versioned) neighbor
-lists of its bound query neighbors.  Faithful behaviours carried over from
-the paper's kernel:
+executes the nested-loop plans of :mod:`repro.query.plan`, binding one
+query vertex per level by intersecting the (versioned) neighbor lists of
+its bound query neighbors.  Faithful behaviours carried over from the
+paper's kernel:
 
 * **Split intersections.**  ``N'`` is handled as ``N ∪ ΔN``: the view
-  returns the base and delta runs separately and the executor merges them
+  returns the base and delta runs separately and the kernel merges them
   once (both runs are sorted, so the merge is linear) — deleted neighbors
   have already been dropped from the base run by the store, the analog of
   "skip the negative indices".
 * **Every access counts.**  Each neighbor-list read goes through the
   :class:`~repro.gpu.views.GraphView`, which records channel traffic and the
   per-vertex access histogram.  Re-reads of the same list are recorded again
-  (the real kernel streams lists from memory on every use); the executor
+  (the real kernel streams lists from memory on every use); the kernel
   only memoizes the *merged array object* to keep Python-side costs down.
 * **Work accounting.**  Merge-intersections charge ``len(a) + len(b)``
   compute ops (the cost model of merge-based SIMD intersection), candidate
   filtering and output emission charge per element.
 
-The executor is shared verbatim by GCSM and every baseline — exactly the
+The kernel is shared verbatim by GCSM and every baseline — exactly the
 paper's "all the GPU versions use the same GPU kernel" setup — with only the
-view deciding where reads are served from.
-
-Two executors implement this contract:
-
-* ``executor="frontier"`` (default) — the level-synchronous batched
-  executor of :mod:`repro.core.frontier`: all roots expand one query-vertex
-  level at a time across a partial-embedding frontier, with vectorized
-  sorted-set kernels.  Bit-identical counters, ≥3× lower wall-clock.
-* ``executor="recursive"`` — the original per-root depth-first reference
-  implementation below; kept as the parity oracle and escape hatch.
+view deciding where reads are served from.  It is the level-synchronous
+:class:`~repro.core.frontier.FrontierExecutor`; this module generates the
+roots and drives it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from repro.core.frontier import FrontierExecutor, MatchStats
 from repro.graphs.attributes import edge_weights
 from repro.graphs.stream import UpdateBatch
 from repro.gpu.views import GraphView
 from repro.query.pattern import WILDCARD_LABEL
-from repro.query.plan import EdgeVersion, MatchPlan
-from repro.utils import VERTEX_DTYPE, intersect_sorted, merge_sorted
+from repro.query.plan import MatchPlan
+from repro.utils import VERTEX_DTYPE
 
 __all__ = [
     "MatchStats",
@@ -55,196 +48,9 @@ __all__ = [
     "delta_roots",
     "static_roots",
     "filter_root_predicate",
-    "EXECUTORS",
-    "DEFAULT_EXECUTOR",
 ]
 
 EmbeddingSink = Callable[[tuple[int, ...], int], None]
-
-#: recognized ``executor=`` values for :func:`match_batch` / :func:`match_static`
-EXECUTORS = ("frontier", "recursive")
-DEFAULT_EXECUTOR = "frontier"
-
-
-@dataclass
-class MatchStats:
-    """Outcome of executing one or more plans.
-
-    ``signed_count`` is the IVM result: insertions contribute ``+1`` per
-    embedding, deletions ``-1``; summed over all ΔM_i plans it equals
-    ``count(G_{k+1}) − count(G_k)``.  ``embeddings_found`` counts emitted
-    embeddings regardless of sign.
-
-    ``roots_skipped`` counts directed roots removed by a certified
-    aggregate-invariant pre-filter (``repro.core.prefilter``) before the
-    executor ran; always 0 with ``prefilter="off"``, and by construction
-    ``roots_processed(on) + roots_skipped(on) == roots_processed(off)``.
-    """
-
-    signed_count: int = 0
-    embeddings_found: int = 0
-    roots_processed: int = 0
-    tree_nodes: int = 0
-    roots_skipped: int = 0
-
-    def merge(self, other: "MatchStats") -> None:
-        self.signed_count += other.signed_count
-        self.embeddings_found += other.embeddings_found
-        self.roots_processed += other.roots_processed
-        self.tree_nodes += other.tree_nodes
-        self.roots_skipped += other.roots_skipped
-
-
-def _merge_runs(runs: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Merge already-sorted runs into one sorted array (linear merge).
-
-    The runs arrive sorted from the store (base run, sorted ΔN), so a
-    concatenate-then-full-sort is wasted work — each pair is folded with the
-    linear :func:`~repro.utils.merge_sorted` kernel.  The single-run fast
-    path returns the stored array untouched (no copy).
-    """
-    if len(runs) == 1:
-        return runs[0]
-    merged = runs[0]
-    for r in runs[1:]:
-        merged = merge_sorted(merged, r)
-    return merged
-
-
-def _intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return intersect_sorted(a, b)
-
-
-class _PlanExecutor:
-    """Depth-first execution of one plan over a set of roots."""
-
-    def __init__(
-        self,
-        plan: MatchPlan,
-        view: GraphView,
-        labels: np.ndarray,
-        sink: EmbeddingSink | None,
-        filters: dict[int, np.ndarray] | None = None,
-    ) -> None:
-        self.plan = plan
-        self.view = view
-        self.labels = labels
-        self.sink = sink
-        #: optional per-query-vertex candidate sets (sorted arrays); used by
-        #: the RapidFlow baseline's candidate-index pruning
-        self.filters = filters or {}
-        #: per-level predicated constraints, in plan constraint order
-        self._preds = [
-            tuple(c for c in lvl.constraints if c.predicate is not None)
-            for lvl in plan.levels
-        ]
-        self.stats = MatchStats()
-        # merged-array memo: the kernel re-reads lists (recorded by the view)
-        # but we keep one merged Python object per (vertex, version family)
-        self._merged: dict[tuple[int, bool], np.ndarray] = {}
-        self._bound = np.empty(plan.depth, dtype=VERTEX_DTYPE)
-
-    def _versioned_list(self, v: int, version: EdgeVersion) -> np.ndarray:
-        runs = self.view.fetch(v, version)  # records the access every time
-        key = (v, version is EdgeVersion.OLD)
-        arr = self._merged.get(key)
-        if arr is None:
-            arr = _merge_runs(runs)
-            self._merged[key] = arr
-        return arr
-
-    def run_root(self, x_a: int, x_b: int, sign: int) -> None:
-        self.stats.roots_processed += 1
-        self.stats.tree_nodes += 1
-        self._bound[0] = x_a
-        self._bound[1] = x_b
-        if self.plan.depth == 2:
-            self._emit(2, 1, sign, leaf_candidates=None)
-            return
-        self._expand(0, sign)
-
-    # ------------------------------------------------------------------
-    def _candidates(self, level_index: int, bound_count: int) -> np.ndarray:
-        lvl = self.plan.levels[level_index]
-        counters = self.view.counters
-        # smallest constraint list first: maximal early pruning
-        cons = sorted(
-            lvl.constraints,
-            key=lambda c: self.view.degree_bound(int(self._bound[c.position]), c.version),
-        )
-        first = cons[0]
-        cand = self._versioned_list(int(self._bound[first.position]), first.version)
-        counters.record_compute(cand.size)
-        for c in cons[1:]:
-            if cand.size == 0:
-                break
-            other = self._versioned_list(int(self._bound[c.position]), c.version)
-            counters.record_compute(cand.size + other.size)
-            cand = _intersect(cand, other)
-        if cand.size == 0:
-            return cand
-        cand_filter = self.filters.get(lvl.query_vertex)
-        if cand_filter is not None:
-            # candidate-index pruning (RapidFlow): the index already encodes
-            # the label constraint, so it subsumes the label check.  Real
-            # implementations keep membership bitmaps, so the probe is O(1)
-            # per candidate (charged 1 op each); this simulation uses a
-            # sorted-array intersection for the same result.
-            counters.record_compute(cand.size)
-            cand = _intersect(cand, cand_filter)
-        elif lvl.label != WILDCARD_LABEL:
-            cand = cand[self.labels[cand] == lvl.label]
-        # predicate pushdown: one weight probe per surviving candidate, one
-        # predicated constraint at a time (plan constraint order) — the
-        # frontier executor reproduces these charges as per-level sums
-        for c in self._preds[level_index]:
-            if cand.size == 0:
-                break
-            counters.record_compute(cand.size)
-            w = edge_weights(int(self._bound[c.position]), cand)
-            lo, hi = c.predicate
-            cand = cand[(w >= lo) & (w <= hi)]
-        for i in range(bound_count):  # injectivity
-            if cand.size == 0:
-                break
-            cand = cand[cand != self._bound[i]]
-        counters.record_compute(cand.size)
-        return cand
-
-    def _expand(self, level_index: int, sign: int) -> None:
-        bound_count = level_index + 2
-        cand = self._candidates(level_index, bound_count)
-        if cand.size == 0:
-            return
-        last = level_index == len(self.plan.levels) - 1
-        if last:
-            self._emit(bound_count, cand.size, sign, leaf_candidates=cand)
-            return
-        for v in cand.tolist():
-            self.stats.tree_nodes += 1
-            self._bound[bound_count] = v
-            self._expand(level_index + 1, sign)
-
-    def _emit(self, bound_count: int, count: int, sign: int,
-              leaf_candidates: np.ndarray | None) -> None:
-        self.stats.signed_count += sign * count
-        self.stats.embeddings_found += count
-        self.stats.tree_nodes += count if leaf_candidates is not None else 0
-        self.view.counters.record_output(count)
-        self.view.counters.record_compute(count * self.plan.depth)
-        if self.sink is not None:
-            order = self.plan.order
-            inverse = np.empty(len(order), dtype=np.int64)
-            for pos, u in enumerate(order):
-                inverse[u] = pos
-            if leaf_candidates is None:
-                emb = tuple(int(self._bound[inverse[u]]) for u in range(len(order)))
-                self.sink(emb, sign)
-            else:
-                for v in leaf_candidates.tolist():
-                    self._bound[bound_count] = v
-                    emb = tuple(int(self._bound[inverse[u]]) for u in range(len(order)))
-                    self.sink(emb, sign)
 
 
 # ----------------------------------------------------------------------
@@ -312,36 +118,6 @@ def filter_root_predicate(
 # ----------------------------------------------------------------------
 # public entry points
 # ----------------------------------------------------------------------
-def _run_plan(
-    plan: MatchPlan,
-    view: GraphView,
-    labels: np.ndarray,
-    sink: EmbeddingSink | None,
-    filters: dict[int, np.ndarray] | None,
-    roots: np.ndarray,
-    signs: np.ndarray,
-    executor: str,
-    pool: dict | None = None,
-) -> MatchStats:
-    """Execute one plan over its roots with the selected executor.
-
-    ``pool`` optionally shares the frontier executor's merged-list memo
-    across the plans of one batch (the adjacency is frozen in between, so
-    merged contents are plan-independent; accesses are still charged per
-    plan).
-    """
-    if executor == "frontier":
-        from repro.core.frontier import FrontierExecutor
-
-        return FrontierExecutor(plan, view, labels, sink, filters, pool=pool).run(roots, signs)
-    if executor == "recursive":
-        ex = _PlanExecutor(plan, view, labels, sink, filters)
-        for (x_a, x_b), sign in zip(roots.tolist(), signs.tolist()):
-            ex.run_root(int(x_a), int(x_b), int(sign))
-        return ex.stats
-    raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-
-
 def match_batch(
     plans: list[MatchPlan],
     batch: UpdateBatch,
@@ -351,7 +127,6 @@ def match_batch(
     filters: dict[int, np.ndarray] | None = None,
     root_mask: Callable[[np.ndarray], np.ndarray] | None = None,
     prefilter=None,
-    executor: str = DEFAULT_EXECUTOR,
 ) -> MatchStats:
     """Run all ΔM_i plans against a signed batch (paper Fig. 2b-f).
 
@@ -371,8 +146,6 @@ def match_batch(
     ``MatchStats.roots_skipped``.  It is applied *last* — after routing and
     candidate filters — so the skip accounting composes with both, and
     exactness is certified (only provably-ΔM=0 roots are dropped).
-    ``executor`` picks the batched frontier executor (default) or the
-    recursive reference; both produce bit-identical stats and counters.
     Plans whose query carries weight predicates filter on the deterministic
     hash weights (:func:`~repro.graphs.attributes.edge_weights`).
     Root-predicate filtering runs after the prefilter (whose precomputed
@@ -403,8 +176,11 @@ def match_batch(
             total.roots_skipped += int(roots.shape[0] - np.count_nonzero(keep))
             roots, signs = roots[keep], signs[keep]
         roots, signs = filter_root_predicate(plan, roots, signs)
+        # ``pool`` shares the merged-list memo across the plans of one batch
+        # (the adjacency is frozen in between, so merged contents are
+        # plan-independent; accesses are still charged per plan)
         total.merge(
-            _run_plan(plan, view, labels, sink, filters, roots, signs, executor, pool)
+            FrontierExecutor(plan, view, labels, sink, filters, pool=pool).run(roots, signs)
         )
     return total
 
@@ -414,7 +190,6 @@ def match_static(
     view: GraphView,
     *,
     sink: EmbeddingSink | None = None,
-    executor: str = DEFAULT_EXECUTOR,
 ) -> MatchStats:
     """Match the query on the current snapshot (paper Fig. 2a).
 
@@ -427,4 +202,4 @@ def match_static(
     edge_array = view.graph.edges_new_array()
     roots, signs = static_roots(plan, edge_array, labels)
     roots, signs = filter_root_predicate(plan, roots, signs)
-    return _run_plan(plan, view, labels, sink, None, roots, signs, executor)
+    return FrontierExecutor(plan, view, labels, sink).run(roots, signs)

@@ -50,14 +50,10 @@ import numpy as np
 
 from repro.core.cache import CachedDeviceView, FrequencyCachePolicy
 from repro.core.engine import BatchJob, BatchRunner, GCSMEngine, MatchOutcome
-from repro.core.frequency import (
-    DEFAULT_ESTIMATOR,
-    EstimationResult,
-    default_num_walks,
-    make_estimator,
-)
+from repro.core.frequency import EstimationResult, default_num_walks
+from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.frontier import FrontierKernel
-from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
+from repro.core.matching import MatchStats, match_batch
 from repro.core.prefilter import DEFAULT_PREFILTER, PrefilterDecision, PrefilterStats
 from repro.core.querytrie import ExecutionTrie, SharedTrieExecutor, TrieStats
 from repro.graphs.dynamic_graph import DynamicGraph
@@ -178,8 +174,6 @@ class MultiQueryEngine(BatchRunner):
         survival: float | None = 1.0,
         cache_budget_bytes: int | None = None,
         seed: int | np.random.Generator | None = 0,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
         conflict_mode: str = DEFAULT_CONFLICT_MODE,
         shared: bool = True,
         attribute_counters: bool = True,
@@ -189,8 +183,7 @@ class MultiQueryEngine(BatchRunner):
         names = [q.name for q in queries]
         require(len(set(names)) == len(names), "query names must be unique")
         super().__init__(
-            initial_graph, device=device, executor=executor, estimator=estimator,
-            conflict_mode=conflict_mode, prefilter=prefilter,
+            initial_graph, device=device, conflict_mode=conflict_mode, prefilter=prefilter,
         )
         self.cache_budget_bytes = (
             cache_budget_bytes
@@ -202,9 +195,8 @@ class MultiQueryEngine(BatchRunner):
         self.plans = {q.name: compile_delta_plans(q) for q in self.queries}
         self.num_walks = num_walks
         rng = as_generator(seed)
-        self.estimator = make_estimator(
-            estimator, self.graph, self.device,
-            seed=spawn_generator(rng), survival=survival,
+        self.estimator = FrontierFrequencyEstimator(
+            self.graph, self.device, seed=spawn_generator(rng), survival=survival,
         )
         self.policy = FrequencyCachePolicy()
         self.shared = shared
@@ -409,8 +401,7 @@ class MultiQueryEngine(BatchRunner):
                 view.counters = pq
                 match_stats[query.name] = match_batch(
                     self.plans[query.name], batch, view,
-                    sink=sinks.get(query.name), executor=self.executor,
-                    prefilter=self.prefilter_index,
+                    sink=sinks.get(query.name), prefilter=self.prefilter_index,
                 )
                 per_query[query.name] = pq
                 match_counters.merge(pq)
@@ -429,10 +420,9 @@ class MultiQueryEngine(BatchRunner):
     ) -> tuple[dict[str, MatchStats], dict[str, AccessCounters] | None]:
         """One trie walk over the representatives; aliases copy results.
 
-        The trie always drives the frontier kernel — by the executor parity
-        contract (PR 3) its per-query attributed counters and stats are
-        bit-identical to an independent run under either executor, so the
-        ``executor=`` knob only changes how the *independent* baseline runs.
+        The trie drives the frontier kernel directly; its per-query
+        attributed counters and stats are bit-identical to an independent
+        :meth:`_match_independent` run.
         """
         # aliases receive the representative's embeddings remapped through
         # the stored isomorphism; the representative's own sink (if any)

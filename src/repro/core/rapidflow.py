@@ -209,7 +209,7 @@ class RapidFlowSystem(BatchRunner):
         view = HostCPUView(graph, self.device, counters)
         stats = match_batch(
             self.plans, job.batch, view, filters=self.candidates,
-            prefilter=self.prefilter_index, executor=self.executor,
+            prefilter=self.prefilter_index,
         )
         return MatchOutcome(
             stats, counters, simulated_time_ns(counters, self.device, platform="cpu"),

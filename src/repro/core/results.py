@@ -47,8 +47,6 @@ class ExperimentRecord:
     num_batches_requested: int | None = None
     update_mix: str | None = None
     window: int | None = None
-    #: FE sampler the system was configured with (None for pre-PR-4 JSON)
-    estimator: str | None = None
     #: update-conflict policy the system ran with (None for older JSON)
     conflict_mode: str | None = None
     # -- multi-GPU extras (defaults keep old JSON files loadable) ----------
@@ -99,7 +97,6 @@ class ExperimentRecord:
             num_batches_requested=getattr(run, "num_batches_requested", None),
             update_mix=getattr(run, "update_mix", None),
             window=getattr(run, "window", None),
-            estimator=getattr(run, "estimator", None),
             conflict_mode=getattr(run, "conflict_mode", None),
             num_devices=getattr(run, "num_devices", 1),
             partitioner=getattr(run, "partitioner", None),
@@ -141,7 +138,6 @@ class ExperimentRecord:
             "num_batches_requested": self.num_batches_requested,
             "update_mix": self.update_mix,
             "window": self.window,
-            "estimator": self.estimator,
             "conflict_mode": self.conflict_mode,
             "num_devices": self.num_devices,
             "partitioner": self.partitioner,
@@ -162,6 +158,9 @@ class ExperimentRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentRecord":
+        data = dict(data)
+        # older records name the FE sampler; there is only one now
+        data.pop("estimator", None)
         return cls(**data)
 
 

@@ -146,7 +146,7 @@ def verify_stream(
     ``check_invariants=True`` audits every system's dynamic store after each
     batch (i.e. after its reorganize).  System names accept the ``GCSM@N``
     spec for the N-device sharded engine, and ``system_kwargs`` is forwarded
-    to every system constructor (e.g. ``{"executor": "recursive"}``).
+    to every system constructor (e.g. ``{"prefilter": "on"}``).
     """
     require(len(system_names) >= 1, "need at least one system")
     require(len(batches) >= 1, "need at least one batch")
@@ -218,7 +218,6 @@ class RulebookParityReport:
 
     num_queries: int
     num_batches: int
-    executors: list[str]
     aliases: dict[str, str] = field(default_factory=dict)
     delta_per_batch: list[int] = field(default_factory=list)
 
@@ -229,8 +228,8 @@ class RulebookParityReport:
     def describe(self) -> str:
         dedup = f", {len(self.aliases)} deduped as isomorphic aliases" if self.aliases else ""
         return (
-            f"shared trie matches {len(self.executors)} independent "
-            f"executor legs on {self.num_queries} queries over "
+            f"shared trie matches independent execution on "
+            f"{self.num_queries} queries over "
             f"{self.num_batches} batches{dedup}; total ΔM = {self.total_delta:+d}"
         )
 
@@ -254,21 +253,20 @@ def verify_rulebook(
     *,
     seed: int = 0,
     conflict_mode: str | None = None,
-    executors: tuple[str, ...] = ("frontier", "recursive"),
     engine_kwargs: dict | None = None,
 ) -> RulebookParityReport:
     """Shared-trie vs per-query-independent parity spec (the rulebook
     analog of :func:`verify_stream`).
 
     Runs one shared :class:`~repro.core.multiquery.MultiQueryEngine` and
-    one independent engine per executor over the same stream and raises
-    :class:`ConsistencyError` unless, per batch:
+    one independent (``shared=False``) engine over the same stream and
+    raises :class:`ConsistencyError` unless, per batch:
 
-    * every query's signed ΔM is identical across all legs;
+    * every query's signed ΔM is identical across the two;
     * every *representative* query's ``MatchStats`` and attributed access
       counters (channel bytes/transactions, compute/output ops, and the
       per-vertex access histogram) are **bit-identical** between the shared
-      trie and every independent leg;
+      trie and the independent engine;
     * every alias's results mirror its representative's (the documented
       dedupe contract — ΔM is an isomorphism invariant).
 
@@ -277,7 +275,7 @@ def verify_rulebook(
     granularity while independent legs mask per plan, so stats/counter
     equality is relaxed to: identical ``signed_count``/``embeddings_found``
     plus the audit identity ``roots_processed + roots_skipped`` equal
-    across legs with ``shared.roots_processed >= independent.
+    across the two with ``shared.roots_processed >= independent.
     roots_processed`` (the group OR keeps at least every root any member's
     own mask keeps).
     """
@@ -292,67 +290,59 @@ def verify_rulebook(
     shared_engine = MultiQueryEngine(
         initial_graph, queries, seed=seed, shared=True, **kwargs
     )
-    indep_engines = {
-        ex: MultiQueryEngine(
-            initial_graph, queries, seed=seed, shared=False, executor=ex, **kwargs
-        )
-        for ex in executors
-    }
+    indep_engine = MultiQueryEngine(
+        initial_graph, queries, seed=seed, shared=False, **kwargs
+    )
     report = RulebookParityReport(
         num_queries=len(queries), num_batches=len(batches),
-        executors=list(executors),
         aliases={
             n: r for n, r in shared_engine.canonical_of.items() if n != r
         },
     )
     for k, batch in enumerate(batches):
         shared_res = shared_engine.process_batch(batch)
-        for ex, engine in indep_engines.items():
-            indep_res = engine.process_batch(batch)
-            if shared_res.delta_counts != indep_res.delta_counts:
-                raise ConsistencyError(
-                    f"batch {k}: shared trie vs independent[{ex}] disagree "
-                    f"on ΔM: {shared_res.delta_counts} != {indep_res.delta_counts}"
+        indep_res = indep_engine.process_batch(batch)
+        if shared_res.delta_counts != indep_res.delta_counts:
+            raise ConsistencyError(
+                f"batch {k}: shared trie vs independent disagree on ΔM: "
+                f"{shared_res.delta_counts} != {indep_res.delta_counts}"
+            )
+        for name, indep_stats in indep_res.match_stats.items():
+            if name in report.aliases:
+                continue  # aliases mirror their representative
+            shared_stats = shared_res.match_stats[name]
+            if prefilter_on:
+                ok = (
+                    shared_stats.signed_count == indep_stats.signed_count
+                    and shared_stats.embeddings_found
+                    == indep_stats.embeddings_found
+                    and shared_stats.roots_processed
+                    + shared_stats.roots_skipped
+                    == indep_stats.roots_processed
+                    + indep_stats.roots_skipped
+                    and shared_stats.roots_processed
+                    >= indep_stats.roots_processed
                 )
-            for name, indep_stats in indep_res.match_stats.items():
-                if name in report.aliases:
-                    continue  # aliases mirror their representative
-                shared_stats = shared_res.match_stats[name]
-                if prefilter_on:
-                    ok = (
-                        shared_stats.signed_count == indep_stats.signed_count
-                        and shared_stats.embeddings_found
-                        == indep_stats.embeddings_found
-                        and shared_stats.roots_processed
-                        + shared_stats.roots_skipped
-                        == indep_stats.roots_processed
-                        + indep_stats.roots_skipped
-                        and shared_stats.roots_processed
-                        >= indep_stats.roots_processed
-                    )
-                    if not ok:
-                        raise ConsistencyError(
-                            f"batch {k}: prefiltered stats diverge for {name} "
-                            f"vs independent[{ex}]: "
-                            f"{vars(shared_stats)} != {vars(indep_stats)}"
-                        )
-                    continue  # counters legitimately differ under masking
-                if vars(shared_stats) != vars(indep_stats):
+                if not ok:
                     raise ConsistencyError(
-                        f"batch {k}: stats diverge for {name} vs "
-                        f"independent[{ex}]: "
-                        f"{vars(shared_stats)} != {vars(indep_stats)}"
+                        f"batch {k}: prefiltered stats diverge for {name} vs "
+                        f"independent: {vars(shared_stats)} != {vars(indep_stats)}"
                     )
-                assert shared_res.match_counters_by_query is not None
-                assert indep_res.match_counters_by_query is not None
-                if not _counters_equal(
-                    shared_res.match_counters_by_query[name],
-                    indep_res.match_counters_by_query[name],
-                ):
-                    raise ConsistencyError(
-                        f"batch {k}: attributed counters diverge for {name} "
-                        f"vs independent[{ex}]"
-                    )
+                continue  # counters legitimately differ under masking
+            if vars(shared_stats) != vars(indep_stats):
+                raise ConsistencyError(
+                    f"batch {k}: stats diverge for {name} vs independent: "
+                    f"{vars(shared_stats)} != {vars(indep_stats)}"
+                )
+            assert shared_res.match_counters_by_query is not None
+            assert indep_res.match_counters_by_query is not None
+            if not _counters_equal(
+                shared_res.match_counters_by_query[name],
+                indep_res.match_counters_by_query[name],
+            ):
+                raise ConsistencyError(
+                    f"batch {k}: attributed counters diverge for {name} vs independent"
+                )
         report.delta_per_batch.append(shared_res.total_delta)
     return report
 

@@ -42,8 +42,7 @@ import numpy as np
 
 from repro.core.cache import CachePolicy
 from repro.core.engine import BatchJob, GCSMEngine, MatchOutcome
-from repro.core.frequency import DEFAULT_ESTIMATOR
-from repro.core.matching import DEFAULT_EXECUTOR, MatchStats, match_batch
+from repro.core.matching import MatchStats, match_batch
 from repro.core.prefilter import DEFAULT_PREFILTER
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.static_graph import StaticGraph
@@ -158,7 +157,7 @@ class MultiGpuEngine(GCSMEngine):
 
     Parameters mirror :class:`~repro.core.engine.GCSMEngine` (``policy``,
     ``num_walks``, ``adaptive_walks``, ``cache_budget_bytes``, ``survival``,
-    ``seed``, ``estimator``, ``executor``) plus:
+    ``seed``) plus:
 
     devices:
         Device count, or a full :class:`~repro.gpu.device.ClusterConfig`
@@ -223,8 +222,6 @@ class MultiGpuEngine(GCSMEngine):
         survival: float | None = 1.0,
         seed: int | np.random.Generator | None = 0,
         workers: int | None = None,
-        executor: str = DEFAULT_EXECUTOR,
-        estimator: str = DEFAULT_ESTIMATOR,
         conflict_mode: str = DEFAULT_CONFLICT_MODE,
         prefilter: str = DEFAULT_PREFILTER,
         pipeline: bool = False,
@@ -245,8 +242,7 @@ class MultiGpuEngine(GCSMEngine):
             initial_graph, query, device=self.cluster.device(), policy=policy,
             num_walks=num_walks, adaptive_walks=adaptive_walks,
             cache_budget_bytes=cache_budget_bytes, survival=survival, seed=seed,
-            executor=executor, estimator=estimator, conflict_mode=conflict_mode,
-            prefilter=prefilter,
+            conflict_mode=conflict_mode, prefilter=prefilter,
         )
         self.partitioner = make_partitioner(partitioner, partitioner_opts)
         self.repartition_config = normalize_repartition(repartition)
@@ -336,7 +332,7 @@ class MultiGpuEngine(GCSMEngine):
             # skipped-root accounting partitions exactly across the fleet
             stats = match_batch(
                 self.plans, job.batch, view, root_mask=mask,
-                prefilter=self.prefilter_index, executor=self.executor,
+                prefilter=self.prefilter_index,
             )
             match_ns = simulated_time_ns(counters, shard.device, platform="gpu")
             return stats, counters, view, match_ns

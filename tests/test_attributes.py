@@ -11,6 +11,7 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
 from repro.query import QueryGraph
 from repro.query.plan import compile_delta_plans
+from tests.oracles import KERNELS, reference_kernels
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 PRED_TRIANGLE = TRIANGLE.with_edge_predicates(
@@ -68,13 +69,13 @@ class TestPredicatePushdown:
     def test_executors_agree_with_oracle(self):
         """Both executors x both estimators, predicated query, oracle on."""
         g0, batches = small_case(seed=3)
-        for executor in ("frontier", "recursive"):
-            for estimator in ("frontier", "recursive"):
-                report = verify_stream(
-                    ["GCSM", "ZC"], g0, PRED_TRIANGLE, batches[:3],
-                    against_oracle=True,
-                    system_kwargs={"executor": executor, "estimator": estimator},
-                )
+        for executor in KERNELS:
+            for estimator in KERNELS:
+                with reference_kernels(executor, estimator):
+                    report = verify_stream(
+                        ["GCSM", "ZC"], g0, PRED_TRIANGLE, batches[:3],
+                        against_oracle=True,
+                    )
                 assert report.oracle_checked
 
     def test_predicates_restrict_counts(self):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import BatchConflictError, DynamicGraph, StaticGraph, UpdateBatch
-from repro.graphs.dynamic_graph import merge_runs_reference
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import derive_stream
+from tests.oracles import merge_runs_reference
 
 
 def base_graph():

@@ -1,5 +1,8 @@
 """Differential tests: frontier estimator vs the recursive reference.
 
+The reference is :class:`tests.oracles.RecursiveFrequencyEstimator`; engine
+legs swap it in through :func:`tests.oracles.reference_kernels`.
+
 The parity contract (see ``docs/frequency.md``) has three layers:
 
 (a) **exact** — in the deterministic full-expansion regime (``survival``
@@ -21,12 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import GCSMEngine
-from repro.core.frequency import (
-    DEFAULT_ESTIMATOR,
-    ESTIMATORS,
-    FrequencyEstimator,
-    make_estimator,
-)
+from repro.core.frequency import FrequencyEstimator
 from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.matching import match_batch
 from repro.graphs.dynamic_graph import DynamicGraph
@@ -37,6 +35,12 @@ from repro.gpu.views import HostCPUView
 from repro.gpu.device import default_device
 from repro.query import QueryGraph, query_by_name
 from repro.query.plan import compile_delta_plans
+from tests.oracles import (
+    KERNELS,
+    SAMPLERS,
+    RecursiveFrequencyEstimator,
+    reference_kernels,
+)
 
 DEVICE = default_device()
 
@@ -63,7 +67,7 @@ def estimator_fingerprint(result, num_vertices: int) -> dict:
 def run_estimates(name, g0, batches, plans, *, survival, num_walks, seed=123):
     """Drive one estimator over a whole stream (deletions included)."""
     graph = DynamicGraph(g0)
-    est = make_estimator(name, graph, DEVICE, seed=seed, survival=survival)
+    est = SAMPLERS[name](graph, DEVICE, seed=seed, survival=survival)
     prints = []
     for batch in batches:
         graph.apply_batch(batch)
@@ -75,26 +79,24 @@ def run_estimates(name, g0, batches, plans, *, survival, num_walks, seed=123):
 
 class TestFactory:
     def test_registry(self):
-        assert DEFAULT_ESTIMATOR == "frontier"
-        assert set(ESTIMATORS) == {"frontier", "recursive"}
+        assert set(SAMPLERS) == set(KERNELS) == {"frontier", "recursive"}
         g = erdos_renyi(10, 2.0, num_labels=1, seed=0)
         graph = DynamicGraph(g)
-        assert isinstance(
-            make_estimator("frontier", graph, DEVICE), FrontierFrequencyEstimator
-        )
-        rec = make_estimator("recursive", graph, DEVICE)
+        assert isinstance(SAMPLERS["frontier"](graph, DEVICE), FrontierFrequencyEstimator)
+        rec = SAMPLERS["recursive"](graph, DEVICE)
         assert isinstance(rec, FrequencyEstimator)
         assert not isinstance(rec, FrontierFrequencyEstimator)
         with pytest.raises(ValueError, match="unknown estimator"):
-            make_estimator("vectorized", graph, DEVICE)
+            with reference_kernels(estimator="vectorized"):
+                pass
 
     def test_engine_uses_default(self):
         g = erdos_renyi(30, 3.0, num_labels=1, seed=1)
         engine = GCSMEngine(g, query_by_name("Q1"))
         assert isinstance(engine.estimator, FrontierFrequencyEstimator)
-        assert engine.estimator_name == "frontier"
-        rec = GCSMEngine(g, query_by_name("Q1"), estimator="recursive")
-        assert not isinstance(rec.estimator, FrontierFrequencyEstimator)
+        with reference_kernels(executor="frontier", estimator="recursive"):
+            assert engine.estimator.estimate.__func__ is RecursiveFrequencyEstimator.estimate
+        assert engine.estimator.estimate.__func__ is FrontierFrequencyEstimator.estimate
 
 
 class TestDeterministicExactParity:
@@ -139,12 +141,10 @@ class TestDeterministicExactParity:
         g0, batches = derive_stream(g, update_fraction=0.3, batch_size=16, seed=8)
         plans = compile_delta_plans(query_by_name("Q1"))
         results = {}
-        for name in ESTIMATORS:
+        for name in KERNELS:
             graph = DynamicGraph(g0)
             graph.apply_batch(batches[0])
-            est = make_estimator(
-                name, graph, DEVICE, seed=9, survival=FULL_EXPANSION
-            )
+            est = SAMPLERS[name](graph, DEVICE, seed=9, survival=FULL_EXPANSION)
             res = est.estimate_adaptive(
                 plans, batches[0], initial_walks=64, max_walks=1024
             )
@@ -179,14 +179,14 @@ class TestEngineEndToEnd:
         g = powerlaw_graph(400, 6.0, max_degree=30, num_labels=3, seed=3)
         g0, batches = derive_stream(g, num_updates=96, batch_size=32, seed=4)
         prints = {}
-        for name in ESTIMATORS:
+        for name in KERNELS:
             engine = GCSMEngine(
-                g0, query_by_name(query_name),
-                estimator=name, survival=FULL_EXPANSION, seed=11,
+                g0, query_by_name(query_name), survival=FULL_EXPANSION, seed=11,
             )
-            prints[name] = [
-                self.batch_fingerprint(engine.process_batch(b)) for b in batches
-            ]
+            with reference_kernels(executor="frontier", estimator=name):
+                prints[name] = [
+                    self.batch_fingerprint(engine.process_batch(b)) for b in batches
+                ]
         assert prints["frontier"] == prints["recursive"]
 
     def test_multigpu_engine_identical(self):
@@ -195,14 +195,14 @@ class TestEngineEndToEnd:
         g = powerlaw_graph(300, 5.0, max_degree=25, num_labels=2, seed=12)
         g0, batches = derive_stream(g, num_updates=64, batch_size=32, seed=13)
         prints = {}
-        for name in ESTIMATORS:
+        for name in KERNELS:
             engine = MultiGpuEngine(
-                g0, query_by_name("Q1"), devices=2,
-                estimator=name, survival=FULL_EXPANSION, seed=14,
+                g0, query_by_name("Q1"), devices=2, survival=FULL_EXPANSION, seed=14,
             )
-            prints[name] = [
-                self.batch_fingerprint(engine.process_batch(b)) for b in batches
-            ]
+            with reference_kernels(executor="frontier", estimator=name):
+                prints[name] = [
+                    self.batch_fingerprint(engine.process_batch(b)) for b in batches
+                ]
         assert prints["frontier"] == prints["recursive"]
 
 
@@ -227,7 +227,7 @@ class TestStatisticalParity:
         dg, batch, plans, exact = self._exact_and_setup()
         acc = np.zeros(dg.num_vertices)
         runs = 60
-        est = make_estimator("frontier", dg, DEVICE, seed=10, survival=survival)
+        est = FrontierFrequencyEstimator(dg, DEVICE, seed=10, survival=survival)
         for _ in range(runs):
             acc += est.estimate(plans, batch, num_walks=600).frequencies
         mean = acc / runs
@@ -240,13 +240,11 @@ class TestStatisticalParity:
         vertices (same sampling probabilities, different RNG consumption)."""
         dg, batch, plans, exact = self._exact_and_setup(seed=5)
         means = {}
-        for name in ESTIMATORS:
+        for name in KERNELS:
             acc = np.zeros(dg.num_vertices)
             runs = 50
             for s in range(runs):
-                est = make_estimator(
-                    name, dg, DEVICE, seed=100 + s, survival=1.0
-                )
+                est = SAMPLERS[name](dg, DEVICE, seed=100 + s, survival=1.0)
                 acc += est.estimate(plans, batch, num_walks=500).frequencies
             means[name] = acc / runs
         heavy = exact >= np.percentile(exact[exact > 0], 70)

@@ -3,6 +3,11 @@
 The key statistical test: the estimator is *unbiased* — averaging estimates
 over many independent runs converges to the exact access counts measured by
 instrumenting the exact matching kernel (paper Eq. 6).
+
+Every sampler test class runs against the production sampler
+(:class:`~repro.core.frequency_frontier.FrontierFrequencyEstimator`) and,
+through a ``*Reference`` subclass, against the depth-first reference of
+``tests/oracles.py``.
 """
 
 import math
@@ -10,12 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.frequency import (
-    EstimationResult,
-    FrequencyEstimator,
-    default_num_walks,
-    required_walks,
-)
+from repro.core.frequency import EstimationResult, default_num_walks, required_walks
+from repro.core.frequency_frontier import FrontierFrequencyEstimator
 from repro.core.matching import match_batch
 from repro.graphs import DynamicGraph
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
@@ -23,6 +24,7 @@ from repro.graphs.stream import derive_stream
 from repro.gpu import AccessCounters, HostCPUView, default_device
 from repro.gpu.counters import Channel
 from repro.query import QueryGraph, compile_delta_plans
+from tests.oracles import RecursiveFrequencyEstimator
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 
@@ -71,24 +73,26 @@ class TestDefaultNumWalks:
 
 
 class TestEstimator:
+    sampler = FrontierFrequencyEstimator
+
     def test_deterministic_given_seed(self):
         dg, batch = setup_case()
         plans = compile_delta_plans(TRIANGLE)
-        r1 = FrequencyEstimator(dg, default_device(), seed=5).estimate(plans, batch)
-        r2 = FrequencyEstimator(dg, default_device(), seed=5).estimate(plans, batch)
+        r1 = self.sampler(dg, default_device(), seed=5).estimate(plans, batch)
+        r2 = self.sampler(dg, default_device(), seed=5).estimate(plans, batch)
         assert np.array_equal(r1.frequencies, r2.frequencies)
 
     def test_counters_record_cpu_cost(self):
         dg, batch = setup_case()
         plans = compile_delta_plans(TRIANGLE)
-        res = FrequencyEstimator(dg, default_device(), seed=1).estimate(plans, batch)
+        res = self.sampler(dg, default_device(), seed=1).estimate(plans, batch)
         assert res.counters.compute_ops > 0
         assert res.nodes_visited > 0
 
     def test_sampled_vertices_and_top(self):
         dg, batch = setup_case()
         plans = compile_delta_plans(TRIANGLE)
-        res = FrequencyEstimator(dg, default_device(), seed=2).estimate(
+        res = self.sampler(dg, default_device(), seed=2).estimate(
             plans, batch, num_walks=4096
         )
         sampled = res.sampled_vertices
@@ -112,7 +116,7 @@ class TestEstimator:
 
         acc = np.zeros(dg.num_vertices)
         runs = 60
-        est = FrequencyEstimator(dg, default_device(), seed=10)
+        est = self.sampler(dg, default_device(), seed=10)
         for _ in range(runs):
             acc += est.estimate(plans, batch, num_walks=600).frequencies
         mean = acc / runs
@@ -127,7 +131,7 @@ class TestEstimator:
         counters = AccessCounters()
         match_batch(plans, batch, HostCPUView(dg, default_device(), counters))
         exact = counters.vertex_access_counts(dg.num_vertices).astype(float)
-        est = FrequencyEstimator(dg, default_device(), seed=11, survival=1.0)
+        est = self.sampler(dg, default_device(), seed=11, survival=1.0)
         acc = np.zeros(dg.num_vertices)
         runs = 40
         for _ in range(runs):
@@ -151,7 +155,7 @@ class TestEstimator:
         top_exact = set(np.argsort(-exact)[:30].tolist())
 
         def overlap(num_walks):
-            est = FrequencyEstimator(dg, default_device(), seed=6, survival=1.0)
+            est = self.sampler(dg, default_device(), seed=6, survival=1.0)
             res = est.estimate(plans, batches[0], num_walks=num_walks)
             return len(set(res.top_vertices(30).tolist()) & top_exact)
 
@@ -162,7 +166,7 @@ class TestEstimator:
     def test_adaptive_estimation_runs(self):
         dg, batch = setup_case(seed=6)
         plans = compile_delta_plans(TRIANGLE)
-        est = FrequencyEstimator(dg, default_device(), seed=7)
+        est = self.sampler(dg, default_device(), seed=7)
         res = est.estimate_adaptive(plans, batch, initial_walks=128, max_walks=2048)
         assert res.num_walks >= 128
         assert res.frequencies.shape[0] == dg.num_vertices
@@ -175,14 +179,20 @@ class TestEstimator:
         dg.apply_batch(batches[0])
         impossible = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], [7, 7, 7])
         plans = compile_delta_plans(impossible)
-        res = FrequencyEstimator(dg, default_device(), seed=9).estimate(plans, batches[0])
+        res = self.sampler(dg, default_device(), seed=9).estimate(plans, batches[0])
         assert res.sampled_vertices.size == 0
+
+
+class TestEstimatorReference(TestEstimator):
+    sampler = RecursiveFrequencyEstimator
 
 
 class TestTheorem1:
     """Empirical check of the paper's Theorem 1: the probability that the
     estimator misranks a clearly-more-frequent vertex below a less-frequent
     one decreases with the number of walks M, and at large M is small."""
+
+    sampler = FrontierFrequencyEstimator
 
     def _misrank_rate(self, num_walks, runs=40):
         dg, batch = setup_case(seed=42, n=36, batch=10)
@@ -198,7 +208,7 @@ class TestTheorem1:
         y = order[min(len(order) - 1, len(order) // 2)]  # mid-tail vertex
         if exact[x] < 2 * exact[y]:
             pytest.skip("not enough frequency separation")
-        est = FrequencyEstimator(dg, default_device(), seed=7, survival=1.0)
+        est = self.sampler(dg, default_device(), seed=7, survival=1.0)
         misranks = 0
         for _ in range(runs):
             freq = est.estimate(plans, batch, num_walks=num_walks).frequencies
@@ -211,6 +221,10 @@ class TestTheorem1:
         large = self._misrank_rate(num_walks=1024)
         assert large <= small
         assert large < 0.1  # large M ranks the frequent vertex correctly
+
+
+class TestTheorem1Reference(TestTheorem1):
+    sampler = RecursiveFrequencyEstimator
 
 
 class TestTopVerticesTieBreak:
@@ -248,14 +262,16 @@ class TestTopVerticesTieBreak:
 
 
 class TestAdaptiveCornerCases:
+    sampler = FrontierFrequencyEstimator
+
     def test_max_rounds_one_is_single_pass(self):
         """max_rounds=1 must be exactly one plain estimate() pass."""
         dg, batch = setup_case(seed=21)
         plans = compile_delta_plans(TRIANGLE)
-        adaptive = FrequencyEstimator(dg, default_device(), seed=3).estimate_adaptive(
+        adaptive = self.sampler(dg, default_device(), seed=3).estimate_adaptive(
             plans, batch, initial_walks=128, max_rounds=1
         )
-        single = FrequencyEstimator(dg, default_device(), seed=3).estimate(
+        single = self.sampler(dg, default_device(), seed=3).estimate(
             plans, batch, num_walks=128
         )
         assert adaptive.num_walks == 128
@@ -269,7 +285,7 @@ class TestAdaptiveCornerCases:
         assert math.isinf(required_walks(3, 10**6, 10**6, 1e-300))
         dg, batch = setup_case(seed=22)
         plans = compile_delta_plans(TRIANGLE)
-        est = FrequencyEstimator(dg, default_device(), seed=4)
+        est = self.sampler(dg, default_device(), seed=4)
         # tiny alpha makes `needed` astronomically large (inf after overflow),
         # so every round runs at the max_walks clamp
         res = est.estimate_adaptive(
@@ -284,7 +300,7 @@ class TestAdaptiveCornerCases:
         """estimate_adaptive's merged counters == pass-1 + pass-2 counters."""
         dg, batch = setup_case(seed=23)
         plans = compile_delta_plans(TRIANGLE)
-        est = FrequencyEstimator(dg, default_device(), seed=5)
+        est = self.sampler(dg, default_device(), seed=5)
         adaptive = est.estimate_adaptive(
             plans, batch, initial_walks=32, alpha=1e-160,
             max_walks=256, max_rounds=2,
@@ -292,7 +308,7 @@ class TestAdaptiveCornerCases:
         assert adaptive.num_walks == 32 + 256  # two passes happened
 
         # replay both passes with an identically-seeded estimator
-        replay = FrequencyEstimator(dg, default_device(), seed=5)
+        replay = self.sampler(dg, default_device(), seed=5)
         p1 = replay.estimate(plans, batch, num_walks=32)
         p2 = replay.estimate(plans, batch, num_walks=256)
         assert adaptive.nodes_visited == p1.nodes_visited + p2.nodes_visited
@@ -315,3 +331,7 @@ class TestAdaptiveCornerCases:
         # and the merged frequencies are the walk-weighted average
         expected = (p1.frequencies * 32 + p2.frequencies * 256) / (32 + 256)
         assert np.allclose(adaptive.frequencies, expected)
+
+
+class TestAdaptiveCornerCasesReference(TestAdaptiveCornerCases):
+    sampler = RecursiveFrequencyEstimator

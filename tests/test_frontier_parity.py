@@ -1,5 +1,8 @@
 """Differential tests: frontier executor vs the recursive reference.
 
+The recursive leg runs the depth-first :class:`tests.oracles.RecursiveExecutor`
+swapped in through :func:`tests.oracles.reference_kernels`.
+
 The frontier executor's contract is *bit-identical* observable state — the
 same ``MatchStats``, the same per-channel byte/transaction counters, the
 same compute/output ops, the same per-vertex access histograms, and the same
@@ -15,11 +18,7 @@ import pytest
 
 from repro.core.cache import CachedDeviceView
 from repro.core.dcsr import DcsrCache
-from repro.core.matching import (
-    EXECUTORS,
-    match_batch,
-    match_static,
-)
+from repro.core.matching import match_batch, match_static
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import powerlaw_graph
 from repro.graphs.stream import derive_stream
@@ -33,8 +32,14 @@ from repro.gpu.views import (
 )
 from repro.query import query_by_name
 from repro.query.plan import compile_delta_plans, compile_static_plan
+from tests.oracles import KERNELS, reference_kernels
 
 DEVICE = default_device()
+
+
+def executor_leg(executor: str):
+    """Run the block with ``executor`` and the production sampler."""
+    return reference_kernels(executor=executor, estimator="frontier")
 
 
 def fingerprint(counters: AccessCounters, stats, num_vertices: int) -> dict:
@@ -84,14 +89,11 @@ def run_stream(view_kind: str, g0, batches, plans, executor, filters=None):
         graph.apply_batch(batch)
         counters = AccessCounters()
         view = make_view(view_kind, graph, counters)
-        stats = match_batch(
-            plans,
-            batch,
-            view,
-            sink=lambda e, s: emitted.append((e, s)),
-            filters=filters,
-            executor=executor,
-        )
+        with executor_leg(executor):
+            stats = match_batch(
+                plans, batch, view,
+                sink=lambda e, s: emitted.append((e, s)), filters=filters,
+            )
         graph.reorganize()
         prints.append(fingerprint(counters, stats, graph.num_vertices))
     return prints, emitted
@@ -154,28 +156,21 @@ def test_match_static_identical():
     g = powerlaw_graph(400, 5.0, max_degree=30, num_labels=2, seed=21)
     plan = compile_static_plan(query_by_name("Q2"))
     results = {}
-    for executor in EXECUTORS:
+    for executor in KERNELS:
         graph = DynamicGraph(g)
         counters = AccessCounters()
         view = ZeroCopyView(graph, DEVICE, counters)
         emitted: list = []
-        stats = match_static(
-            plan, view, sink=lambda e, s: emitted.append((e, s)),
-            executor=executor,
-        )
+        with executor_leg(executor):
+            stats = match_static(plan, view, sink=lambda e, s: emitted.append((e, s)))
         results[executor] = (fingerprint(counters, stats, g.num_vertices), emitted)
     assert results["frontier"] == results["recursive"]
 
 
 def test_unknown_executor_rejected():
-    g = powerlaw_graph(50, 3.0, max_degree=10, num_labels=1, seed=0)
-    g0, batches = derive_stream(g, num_updates=8, batch_size=8, seed=0)
-    graph = DynamicGraph(g0)
-    graph.apply_batch(batches[0])
-    view = HostCPUView(graph, DEVICE, AccessCounters())
     with pytest.raises(ValueError, match="unknown executor"):
-        match_batch(compile_delta_plans(query_by_name("Q1")), batches[0], view,
-                    executor="warp")
+        with executor_leg("warp"):
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +214,10 @@ def test_systems_bit_identical(system_name):
     g0, batches = _workload()
     query = query_by_name("Q1")
     runs = {}
-    for executor in EXECUTORS:
-        engine = make_system(system_name, g0, query, executor=executor)
-        runs[executor] = _engine_fingerprints(engine, batches)
+    for executor in KERNELS:
+        with executor_leg(executor):
+            engine = make_system(system_name, g0, query)
+            runs[executor] = _engine_fingerprints(engine, batches)
     assert runs["frontier"] == runs["recursive"]
 
 
@@ -231,35 +227,37 @@ def test_multigpu_engine_bit_identical():
     g0, batches = _workload(seed=13)
     query = query_by_name("Q1")
     runs = {}
-    for executor in EXECUTORS:
-        engine = MultiGpuEngine(
-            g0, query, devices=2, partitioner="hash", executor=executor,
-        )
-        runs[executor] = _engine_fingerprints(engine, batches)
+    for executor in KERNELS:
+        with executor_leg(executor):
+            engine = MultiGpuEngine(g0, query, devices=2, partitioner="hash")
+            runs[executor] = _engine_fingerprints(engine, batches)
     assert runs["frontier"] == runs["recursive"]
 
 
 def test_multiquery_engine_bit_identical():
+    """Independent rulebook execution (the shared trie drives the frontier
+    kernel directly, so only ``shared=False`` reaches the swapped executor)."""
     from repro.core.multiquery import MultiQueryEngine
 
     g0, batches = _workload(seed=17)
     queries = [query_by_name("Q1"), query_by_name("Q2")]
     runs = {}
-    for executor in EXECUTORS:
-        engine = MultiQueryEngine(g0, queries, executor=executor)
+    for executor in KERNELS:
+        engine = MultiQueryEngine(g0, queries, shared=False)
         out = []
-        for batch in batches:
-            r = engine.process_batch(batch)
-            out.append(
-                (
-                    dict(r.delta_counts),
-                    {c.value: v
-                     for c, v in r.match_counters.bytes_by_channel.items()},
-                    r.match_counters.compute_ops,
-                    r.match_counters.output_embeddings,
-                    r.breakdown.match_ns,
+        with executor_leg(executor):
+            for batch in batches:
+                r = engine.process_batch(batch)
+                out.append(
+                    (
+                        dict(r.delta_counts),
+                        {c.value: v
+                         for c, v in r.match_counters.bytes_by_channel.items()},
+                        r.match_counters.compute_ops,
+                        r.match_counters.output_embeddings,
+                        r.breakdown.match_ns,
+                    )
                 )
-            )
         runs[executor] = out
     assert runs["frontier"] == runs["recursive"]
 
@@ -269,7 +267,7 @@ def test_initial_match_identical():
 
     g = powerlaw_graph(300, 4.0, max_degree=25, num_labels=2, seed=23)
     counts = {}
-    for executor in EXECUTORS:
-        engine = GCSMEngine(g, query_by_name("Q1"), executor=executor)
-        counts[executor] = engine.initial_match()
+    for executor in KERNELS:
+        with executor_leg(executor):
+            counts[executor] = GCSMEngine(g, query_by_name("Q1")).initial_match()
     assert counts["frontier"] == counts["recursive"]

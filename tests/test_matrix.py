@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +49,7 @@ class TestScenarioSpec:
 
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError, match="invalid level"):
-            matrix.ScenarioSpec(name="x", factors={"executor": ("warp",)})
+            matrix.ScenarioSpec(name="x", factors={"conflict_mode": ("warp",)})
         with pytest.raises(ValueError, match="invalid level"):
             matrix.ScenarioSpec(name="x", factors={"batch_size": (0,)})
         with pytest.raises(ValueError):
@@ -56,7 +57,7 @@ class TestScenarioSpec:
 
     def test_empty_levels_rejected(self):
         with pytest.raises(ValueError, match="no levels"):
-            matrix.ScenarioSpec(name="x", factors={"executor": ()})
+            matrix.ScenarioSpec(name="x", factors={"prefilter": ()})
 
     def test_bad_sample_rejected(self):
         with pytest.raises(ValueError, match="sample"):
@@ -73,7 +74,7 @@ class TestExpansion:
         spec = matrix.ScenarioSpec(
             name="x",
             factors={
-                "executor": ("frontier", "recursive"),
+                "prefilter": ("off", "on"),
                 "conflict_mode": ("strict", "coalesce"),
                 "update_mix": ("mixed", "adversarial"),
             },
@@ -105,7 +106,7 @@ class TestExpansion:
         spec = matrix.ScenarioSpec(
             name="x",
             factors={
-                "executor": ("frontier", "recursive"),
+                "prefilter": ("off", "on"),
                 "update_mix": ("mixed", "churn", "insert-heavy", "delete-heavy"),
             },
         )
@@ -119,13 +120,13 @@ class TestExpansion:
 
     def test_filter_cells(self):
         spec = matrix.ScenarioSpec(
-            name="x", factors={"executor": ("frontier", "recursive"),
+            name="x", factors={"prefilter": ("off", "on"),
                                "window": (None, 2)},
         )
         cells, _ = matrix.expand_cells(spec)
-        kept = matrix.filter_cells(cells, {"executor": "recursive", "window": "-"})
+        kept = matrix.filter_cells(cells, {"prefilter": "on", "window": "-"})
         assert len(kept) == 1
-        assert kept[0]["executor"] == "recursive"
+        assert kept[0]["prefilter"] == "on"
         assert kept[0]["window"] is None
         with pytest.raises(ValueError, match="unknown filter factor"):
             matrix.filter_cells(cells, {"nope": "1"})
@@ -211,12 +212,33 @@ class TestCompareTrajectories:
         traj = self._trajectory()
         baseline = copy.deepcopy(traj)
         baseline["records"][0]["metrics"]["total_ns"] *= 10  # we got faster
+        assert matrix.compare_trajectories(traj, baseline).ok
+        current = copy.deepcopy(traj)
+        current["records"].append({"cell_id": "new-cell", "metrics": {"total_ns": 1.0}})
+        report = matrix.compare_trajectories(current, baseline)
+        assert report.ok
+        assert report.new_cells == ["new-cell"]
+        # a baseline cell the fresh run does not reproduce fails the gate
         baseline["records"].append(
-            {"cell_id": "retired-cell", "metrics": {"total_ns": 1.0}}
+            {"cell_id": "retired-cell", "factors": {}, "metrics": {"total_ns": 1.0}}
         )
         report = matrix.compare_trajectories(traj, baseline)
-        assert report.ok
+        assert not report.ok
         assert report.missing_cells == ["retired-cell"]
+        assert "MISSING" in report.describe()
+
+
+class TestCommittedBaseline:
+    BASELINE = Path(__file__).resolve().parents[1] / "benchmarks/results/BENCH_matrix.json"
+
+    def test_exactness_gate_is_not_vacuous(self):
+        """Some engine cell of the committed smoke baseline has ΔM != 0, so
+        the exact ``delta_total`` comparison can catch a wrong ΔM."""
+        records = matrix.load_trajectory(self.BASELINE)["records"]
+        assert any(
+            r["metrics"]["delta_total"] != 0
+            for r in records if "service" not in r["factors"]
+        )
 
 
 class TestMatrixCLI:
@@ -246,6 +268,27 @@ class TestMatrixCLI:
         assert main(["matrix", "--spec", spec, "--baseline", str(out_path),
                      "--max-regress", "20"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_missing_baseline_cell_fails_the_gate(self, tmp_path, capsys):
+        spec = self._write_spec(tmp_path)
+        out_path = tmp_path / "BENCH_matrix.json"
+        assert main(["matrix", "--spec", spec, "--out", str(out_path)]) == 0
+        traj = json.loads(out_path.read_text())
+        stale = copy.deepcopy(traj["records"][0])
+        stale["factors"]["update_mix"] = "churn"
+        stale["cell_id"] = matrix.cell_id(stale["factors"])
+        traj["records"].append(stale)
+        out_path.write_text(json.dumps(traj))
+        capsys.readouterr()
+        assert main(["matrix", "--spec", spec, "--baseline", str(out_path),
+                     "--max-regress", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "1 missing" in out and "MISSING" in out
+        # a filtered run answers only for the baseline cells matching it
+        assert main(["matrix", "--spec", spec, "--baseline", str(out_path),
+                     "--max-regress", "0", "--filter", "update_mix=mixed"]) == 0
+        assert main(["matrix", "--spec", spec, "--baseline", str(out_path),
+                     "--max-regress", "0", "--filter", "update_mix=churn"]) == 1
 
     def test_usage_errors(self, tmp_path, capsys):
         spec = self._write_spec(tmp_path)

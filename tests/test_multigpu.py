@@ -31,6 +31,7 @@ from repro.multigpu import (
 )
 from repro.multigpu.comm import allreduce_delta_ns, comm_report
 from repro.query import QueryGraph
+from tests.oracles import assign_freq_reference
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 TAILED = QueryGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [0, 0, 1, 1], name="tailed")
@@ -205,9 +206,11 @@ class TestPartitioners:
         freqs[rng.random(g.num_vertices) < 0.6] = 0.0  # mixed hot/cold
         p = FrequencyPartitioner()
         for k in (2, 4, 7):
+            fast, ref = AccessCounters(), AccessCounters()
             assert np.array_equal(
-                p.assign(g, freqs, k), p.assign_reference(g, freqs, k)
+                p.assign(g, freqs, k, fast), assign_freq_reference(p, g, freqs, k, ref)
             )
+            assert fast.compute_ops == ref.compute_ops
 
     def test_mincut_deterministic_with_roots(self):
         g = self._graph()

@@ -3,7 +3,8 @@
 The sharing contract (``docs/multiquery.md``): shared trie execution must
 be *observationally identical* to running every query independently —
 per-query signed ΔM, ``MatchStats``, attributed access counters, and sink
-emission order — on clean and adversarial streams, under both executors,
+emission order — on clean and adversarial streams, with the independent
+engine under both executors (``tests.oracles.verify_rulebook_legs``),
 with isomorphic duplicates deduped to a representative.  Only the
 engine-level shared counters (and the simulated match time derived from
 them) are allowed to differ, and only downward.
@@ -17,17 +18,14 @@ import pytest
 from repro.core.frontier import FrontierKernel
 from repro.core.multiquery import MultiQueryEngine, split_walk_budget
 from repro.core.querytrie import ExecutionTrie, QuerySetMasks
-from repro.core.validation import (
-    ConsistencyError,
-    generate_adversarial_stream,
-    verify_rulebook,
-)
+from repro.core.validation import ConsistencyError, generate_adversarial_stream
 from repro.graphs.generators import erdos_renyi, powerlaw_graph
 from repro.graphs.stream import derive_stream
 from repro.query.catalog import QUERIES, QUERY_ORDER
 from repro.query.generator import rulebook_suite
 from repro.query.pattern import QueryGraph
 from repro.query.plan import compile_delta_plans, plan_signature
+from tests.oracles import verify_rulebook_legs
 
 
 def _catalog() -> list[QueryGraph]:
@@ -67,7 +65,7 @@ class TestSharedParity:
     def test_catalog_rulebook_clean_stream(self):
         g = powerlaw_graph(1_500, 8.0, max_degree=60, num_labels=3, seed=11)
         g0, batches = derive_stream(g, num_updates=96, batch_size=32, seed=11)
-        report = verify_rulebook(g0, _catalog(), batches, seed=4)
+        report = verify_rulebook_legs(g0, _catalog(), batches, seed=4)
         assert report.num_queries == 6
         assert "shared trie matches" in report.describe()
 
@@ -84,7 +82,7 @@ class TestSharedParity:
         batches = generate_adversarial_stream(
             g0, num_batches=3, batch_size=20, seed=seed + 20
         )
-        report = verify_rulebook(
+        report = verify_rulebook_legs(
             g0, queries, batches, seed=seed, conflict_mode="coalesce"
         )
         assert report.num_batches == 3
@@ -106,7 +104,7 @@ class TestSharedParity:
         )
         queries = [base, twisted, clone, QUERIES["Q2"]]
         batches = generate_adversarial_stream(g0, num_batches=3, seed=6)
-        report = verify_rulebook(g0, queries, batches, seed=7)
+        report = verify_rulebook_legs(g0, queries, batches, seed=7)
         # lexsorted names: Q1 < Q1clone < Q1twist < Q2 — Q1 is representative
         assert report.aliases == {"Q1clone": "Q1", "Q1twist": "Q1"}
         engine = MultiQueryEngine(g0, queries, seed=7)
@@ -117,7 +115,7 @@ class TestSharedParity:
     def test_consistency_error_carries_context(self):
         g0 = erdos_renyi(40, 5.0, num_labels=2, seed=9)
         batches = generate_adversarial_stream(g0, num_batches=1, seed=9)
-        report = verify_rulebook(g0, _catalog()[:2], batches, seed=9)
+        report = verify_rulebook_legs(g0, _catalog()[:2], batches, seed=9)
         assert report.total_delta == sum(report.delta_per_batch)
         with pytest.raises(ConsistencyError):
             raise ConsistencyError("synthetic")

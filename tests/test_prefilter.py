@@ -31,7 +31,6 @@ from repro.core.validation import (
     _parse_system_spec,
     fuzz_verify,
     generate_adversarial_stream,
-    verify_rulebook,
     verify_stream,
 )
 from repro.graphs.dynamic_graph import DynamicGraph
@@ -40,6 +39,7 @@ from repro.graphs.static_graph import StaticGraph
 from repro.graphs.stream import UpdateBatch, derive_stream
 from repro.gpu.clock import PIPELINE_STAGES, TimeBreakdown
 from repro.query import QueryGraph
+from tests.oracles import KERNELS, reference_kernels, verify_rulebook_legs
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], [0, 1, 2], name="tri012")
 PATH = QueryGraph(3, [(0, 1), (1, 2)], [0, 0, 1], name="path001")
@@ -161,12 +161,11 @@ class TestEngineParity:
             assert r_off.prefilter is None
             on.prefilter_index.assert_consistent()
 
-    @pytest.mark.parametrize("executor", ["frontier", "recursive"])
+    @pytest.mark.parametrize("executor", KERNELS)
     def test_parity_across_executors(self, executor):
         g0, batches = adversarial(23, num_batches=4)
-        on_res, off_res, _ = run_pair(
-            "GCSM", g0, TRIANGLE, batches, executor=executor
-        )
+        with reference_kernels(executor=executor, estimator="frontier"):
+            on_res, off_res, _ = run_pair("GCSM", g0, TRIANGLE, batches)
         for r_on, r_off in zip(on_res, off_res):
             assert r_on.delta_count == r_off.delta_count
 
@@ -398,7 +397,7 @@ class TestMultiQuery:
 
     def test_verify_rulebook_with_prefilter(self):
         g0, batches = adversarial(53, num_batches=3)
-        report = verify_rulebook(
+        report = verify_rulebook_legs(
             g0, self.QUERIES, batches, seed=3,
             engine_kwargs={"prefilter": "on"},
         )

@@ -22,6 +22,7 @@ from repro.gpu import AccessCounters, Channel, DeviceConfig, HostCPUView, defaul
 from repro.gpu.memory import UnifiedMemoryPager
 from repro.query import compile_static_plan
 from repro.query.generator import random_query
+from tests.oracles import KERNELS, reference_kernels
 
 
 @settings(max_examples=25, deadline=None)
@@ -132,8 +133,8 @@ def test_counter_conservation(seed):
     assert counters.total_access_count == int(counters._vertex_counts.sum())
 
 
-@pytest.mark.parametrize("executor", ["frontier", "recursive"])
-@pytest.mark.parametrize("estimator", ["frontier", "recursive"])
+@pytest.mark.parametrize("executor", KERNELS)
+@pytest.mark.parametrize("estimator", KERNELS)
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_adversarial_streams_are_total_and_oracle_exact(executor, estimator, seed):
@@ -154,12 +155,12 @@ def test_adversarial_streams_are_total_and_oracle_exact(executor, estimator, see
     )
     query = QueryGraph(3, [(0, 1), (1, 2), (0, 2)])
     mode = "coalesce" if rng.random() < 0.7 else "ignore"
-    report = verify_stream(
-        ["GCSM", "CPU"], g, query, batches,
-        against_oracle=True, seed=int(rng.integers(0, 2**31)),
-        conflict_mode=mode, check_invariants=True,
-        system_kwargs={"executor": executor, "estimator": estimator},
-    )
+    with reference_kernels(executor, estimator):
+        report = verify_stream(
+            ["GCSM", "CPU"], g, query, batches,
+            against_oracle=True, seed=int(rng.integers(0, 2**31)),
+            conflict_mode=mode, check_invariants=True,
+        )
     assert report.anomalies is not None
     assert report.anomalies.input_size == sum(len(b) for b in batches)
 

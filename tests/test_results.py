@@ -1,5 +1,7 @@
 """Tests for experiment records and comparison summaries."""
 
+import json
+
 import pytest
 
 from repro.core.results import (
@@ -34,6 +36,17 @@ class TestRecord:
         save_records(records, path)
         loaded = load_records(path)
         assert loaded == records
+
+    def test_loads_records_that_name_the_fe_sampler(self, tmp_path):
+        """Records written before the sampler knob was removed carry an
+        ``"estimator"`` key; they must still load."""
+        old = rec("GCSM", dataset="AZ", update_mix="mixed", conflict_mode="coalesce")
+        payload = old.to_dict()
+        payload["estimator"] = "frontier"
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps([payload], indent=2))
+        assert load_records(path) == [old]
+        assert "estimator" not in old.to_dict()
 
     def test_from_run(self):
         from repro.bench.harness import run_stream

@@ -1,7 +1,8 @@
 """Property tests: the pipelined engine is bit-identical to the serial one.
 
-The contract (docs/service.md): for any stream, executor pair, estimator
-pair, and conflict mode, :class:`~repro.service.pipeline.PipelinedEngine`
+The contract (docs/service.md): for any stream, matching executor and
+frequency sampler (production or the ``tests/oracles.py`` reference), and
+conflict mode, :class:`~repro.service.pipeline.PipelinedEngine`
 produces the same per-batch ΔM, match stats, counters, cache decisions, and
 final store as :class:`~repro.core.engine.GCSMEngine` — overlap only changes
 *when* work runs, never *what* it computes.
@@ -12,8 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import GCSMEngine
-from repro.core.matching import EXECUTORS
-from repro.core.frequency import ESTIMATORS
 from repro.core.validation import (
     DEFAULT_FUZZ_SYSTEMS,
     fuzz_verify,
@@ -24,6 +23,7 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import CONFLICT_MODES
 from repro.query import QUERIES, QueryGraph
 from repro.service import PipelinedEngine
+from tests.oracles import KERNELS, reference_kernels
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 
@@ -36,8 +36,8 @@ def _final_state(engine):
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    executor=st.sampled_from(EXECUTORS),
-    estimator=st.sampled_from(ESTIMATORS),
+    executor=st.sampled_from(KERNELS),
+    estimator=st.sampled_from(KERNELS),
     conflict_mode=st.sampled_from([m for m in CONFLICT_MODES if m != "strict"]),
     threaded=st.booleans(),
 )
@@ -48,14 +48,12 @@ def test_pipelined_engine_bit_parity(seed, executor, estimator, conflict_mode,
     batches = generate_adversarial_stream(
         g, num_batches=3, batch_size=10, seed=seed + 1
     )
-    kwargs = dict(
-        executor=executor, estimator=estimator,
-        conflict_mode=conflict_mode, seed=seed,
-    )
+    kwargs = dict(conflict_mode=conflict_mode, seed=seed)
     serial = GCSMEngine(g, TRIANGLE, **kwargs)
     piped = PipelinedEngine(g, TRIANGLE, threaded=threaded, **kwargs)
-    ser = [serial.process_batch(b) for b in batches]
-    pip = piped.process_stream(batches)
+    with reference_kernels(executor, estimator):
+        ser = [serial.process_batch(b) for b in batches]
+        pip = piped.process_stream(batches)
     for a, b in zip(ser, pip):
         assert a.delta_count == b.delta_count
         assert a.match_stats == b.match_stats

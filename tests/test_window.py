@@ -8,6 +8,7 @@ from repro.graphs import UpdateBatch, apply_window
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.stream import DELETE, INSERT, derive_stream
 from repro.query import QueryGraph
+from tests.oracles import KERNELS, reference_kernels
 
 TRIANGLE = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], name="triangle")
 
@@ -104,13 +105,13 @@ class TestWindowedExactness:
         g0, batches = derive_stream(g, update_fraction=0.3, batch_size=10, seed=4)
         windowed, report = apply_window(g0, batches, window=2)
         assert report.expiry_deletes > 0  # the axis is actually exercised
-        for executor in ("frontier", "recursive"):
-            for estimator in ("frontier", "recursive"):
-                rep = verify_stream(
-                    ["GCSM", "ZC"], g0, TRIANGLE, windowed[:4],
-                    against_oracle=True, conflict_mode="coalesce",
-                    system_kwargs={"executor": executor, "estimator": estimator},
-                )
+        for executor in KERNELS:
+            for estimator in KERNELS:
+                with reference_kernels(executor, estimator):
+                    rep = verify_stream(
+                        ["GCSM", "ZC"], g0, TRIANGLE, windowed[:4],
+                        against_oracle=True, conflict_mode="coalesce",
+                    )
                 assert rep.oracle_checked
 
     def test_strict_mode_rejects_expiry_collisions(self):
